@@ -42,7 +42,8 @@ class ConeSensorModel final : public SensorModel {
   }
 
   // Devirtualized batch kernels; beyond MaxRange() the cone is exactly zero,
-  // so out-of-range particles skip the bearing acos entirely.
+  // so out-of-range particles skip the bearing acos entirely. The scalar
+  // shapes also skip it outside the minor wedge (bearing pre-test on cos θ).
   void ProbReadBatch(const ReaderFrame& frame, const double* xs,
                      const double* ys, const double* zs, size_t n,
                      double* out) const override;

@@ -4,6 +4,7 @@
 // the destination; the particle filter recovers it from subsequent readings.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "geometry/aabb.h"
@@ -25,7 +26,9 @@ class ShelfRegions {
   /// Uniform sample over the union of shelf regions. Requires non-empty.
   Vec3 SampleUniform(Rng& rng) const;
 
-  /// True if the point lies inside any shelf region.
+  /// True if the point lies inside any shelf region. Exact and O(1) for
+  /// non-overlapping layouts: only the regions registered in the point's
+  /// xy grid cell are tested.
   bool Contains(const Vec3& p) const;
 
   /// Bounding box of all regions (empty box when no regions).
@@ -35,6 +38,18 @@ class ShelfRegions {
   std::vector<Aabb> regions_;
   std::vector<double> cumulative_measure_;  ///< Prefix sums for sampling.
   Aabb bounds_;
+
+  // Uniform xy grid over bounds_ for Contains: cell c = cy * grid_nx_ + cx
+  // lists the ids of every region whose xy footprint reaches it in
+  // cell_regions_[cell_start_[c], cell_start_[c + 1]).
+  size_t CellX(double x) const;
+  size_t CellY(double y) const;
+  size_t grid_nx_ = 1;
+  size_t grid_ny_ = 1;
+  double inv_cell_x_ = 0.0;  ///< Cells per foot (0 for a flat extent).
+  double inv_cell_y_ = 0.0;
+  std::vector<uint32_t> cell_start_;
+  std::vector<uint32_t> cell_regions_;
 };
 
 struct ObjectModelParams {

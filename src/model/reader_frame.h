@@ -40,68 +40,71 @@ struct ReaderFrame {
 
 namespace batch_detail {
 
-/// Range/bearing of one offset against one frame, then the model's ProbRead.
-/// `zero_beyond_sq` is the *squared* cutoff distance past which the model's
-/// probability is (exactly or negligibly) zero — the squared comparison
-/// lets far-field elements skip the sqrt as well as the acos; pass +inf for
-/// no cutoff. Comparing squares can disagree with comparing distances by
-/// one ulp exactly at the cutoff, where every model's probability is below
-/// the 1e-12 parity tolerance by construction.
+/// The default per-element evaluator: range/bearing of one offset against
+/// one frame, then the model's ProbRead. `zero_beyond` is the cutoff
+/// distance past which the model's probability is (exactly or negligibly)
+/// zero; it is compared squared, so far-field elements skip the sqrt as well
+/// as the acos. Pass kNoCutoff for no cutoff. Comparing squares can disagree
+/// with comparing distances by one ulp exactly at the cutoff, where every
+/// model's probability is below the 1e-12 parity tolerance by construction.
 template <typename ModelT>
-inline double EvalOne(const ModelT& model, const ReaderFrame& f, double tx,
-                      double ty, double tz, double zero_beyond_sq) {
-  const double dx = tx - f.origin.x;
-  const double dy = ty - f.origin.y;
-  const double dz = tz - f.origin.z;
-  const double dist_sq = dx * dx + dy * dy + dz * dz;
-  if (dist_sq >= zero_beyond_sq) return 0.0;
-  const double dist = std::sqrt(dist_sq);
-  double angle = 0.0;
-  if (dist > 1e-12) {
-    const double cos_theta = (dx * f.cos_heading + dy * f.sin_heading) / dist;
-    angle = std::acos(std::clamp(cos_theta, -1.0, 1.0));
-  }
-  return model.ProbRead(dist, angle);
-}
+class RangeBearingEval {
+ public:
+  RangeBearingEval(const ModelT& model, double zero_beyond)
+      : model_(model), zero_beyond_sq_(zero_beyond * zero_beyond) {}
 
-/// Squares a cutoff for EvalOne (inf stays inf).
-inline double SquaredCutoff(double zero_beyond) {
-  return zero_beyond * zero_beyond;
-}
+  double operator()(const ReaderFrame& f, double tx, double ty,
+                    double tz) const {
+    const double dx = tx - f.origin.x;
+    const double dy = ty - f.origin.y;
+    const double dz = tz - f.origin.z;
+    const double dist_sq = dx * dx + dy * dy + dz * dz;
+    if (dist_sq >= zero_beyond_sq_) return 0.0;
+    const double dist = std::sqrt(dist_sq);
+    double angle = 0.0;
+    if (dist > 1e-12) {
+      const double cos_theta = (dx * f.cos_heading + dy * f.sin_heading) / dist;
+      angle = std::acos(std::clamp(cos_theta, -1.0, 1.0));
+    }
+    return model_.ProbRead(dist, angle);
+  }
+
+ private:
+  const ModelT& model_;
+  double zero_beyond_sq_;
+};
+
+// The four batch shapes below take any per-element evaluator `eval(frame,
+// x, y, z)` — RangeBearingEval, or a model's own exact variant of it.
 
 /// One frame, SoA positions.
-template <typename ModelT>
-inline void BatchSoa(const ModelT& model, const ReaderFrame& frame,
+template <typename EvalT>
+inline void BatchSoa(const EvalT& eval, const ReaderFrame& frame,
                      const double* xs, const double* ys, const double* zs,
-                     size_t n, double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+                     size_t n, double* out) {
   for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frame, xs[k], ys[k], zs[k], zb2);
+    out[k] = eval(frame, xs[k], ys[k], zs[k]);
   }
 }
 
 /// One frame, AoS positions (the basic filter's per-particle object lists).
-template <typename ModelT>
-inline void BatchAos(const ModelT& model, const ReaderFrame& frame,
-                     const Vec3* positions, size_t n, double* out,
-                     double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+template <typename EvalT>
+inline void BatchAos(const EvalT& eval, const ReaderFrame& frame,
+                     const Vec3* positions, size_t n, double* out) {
   for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frame, positions[k].x, positions[k].y,
-                     positions[k].z, zb2);
+    out[k] = eval(frame, positions[k].x, positions[k].y, positions[k].z);
   }
 }
 
 /// Per-element frame lookup (the factored filter: particle k is conditioned
 /// on reader particle frame_idx[k]).
-template <typename ModelT>
-inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
+template <typename EvalT>
+inline void BatchGather(const EvalT& eval, const ReaderFrame* frames,
                         const uint32_t* frame_idx, const double* xs,
                         const double* ys, const double* zs, size_t n,
-                        double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+                        double* out) {
   for (size_t k = 0; k < n; ++k) {
-    out[k] = EvalOne(model, frames[frame_idx[k]], xs[k], ys[k], zs[k], zb2);
+    out[k] = eval(frames[frame_idx[k]], xs[k], ys[k], zs[k]);
   }
 }
 
@@ -109,16 +112,15 @@ inline void BatchGather(const ModelT& model, const ReaderFrame* frames,
 /// elements [offsets[j], offsets[j+1]) evaluate against frames[j]. One
 /// devirtualized call covers the whole particle set — the frame is hoisted
 /// per run instead of gathered per element.
-template <typename ModelT>
-inline void BatchRuns(const ModelT& model, const ReaderFrame* frames,
+template <typename EvalT>
+inline void BatchRuns(const EvalT& eval, const ReaderFrame* frames,
                       const uint32_t* offsets, size_t num_frames,
                       const double* xs, const double* ys, const double* zs,
-                      double* out, double zero_beyond) {
-  const double zb2 = SquaredCutoff(zero_beyond);
+                      double* out) {
   for (size_t j = 0; j < num_frames; ++j) {
     const ReaderFrame& frame = frames[j];
     for (uint32_t k = offsets[j]; k < offsets[j + 1]; ++k) {
-      out[k] = EvalOne(model, frame, xs[k], ys[k], zs[k], zb2);
+      out[k] = eval(frame, xs[k], ys[k], zs[k]);
     }
   }
 }

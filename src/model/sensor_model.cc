@@ -22,15 +22,15 @@ constexpr double kPeakFraction = 0.1;
 void SensorModel::ProbReadBatch(const ReaderFrame& frame, const double* xs,
                                 const double* ys, const double* zs, size_t n,
                                 double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out,
-                         batch_detail::kNoCutoff);
+  const batch_detail::RangeBearingEval eval(*this, batch_detail::kNoCutoff);
+  batch_detail::BatchSoa(eval, frame, xs, ys, zs, n, out);
 }
 
 void SensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                          const Vec3* positions, size_t n,
                                          double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out,
-                         batch_detail::kNoCutoff);
+  const batch_detail::RangeBearingEval eval(*this, batch_detail::kNoCutoff);
+  batch_detail::BatchAos(eval, frame, positions, n, out);
 }
 
 void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
@@ -38,16 +38,16 @@ void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                       const double* xs, const double* ys,
                                       const double* zs, size_t n,
                                       double* out) const {
-  batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            batch_detail::kNoCutoff);
+  const batch_detail::RangeBearingEval eval(*this, batch_detail::kNoCutoff);
+  batch_detail::BatchGather(eval, frames, frame_idx, xs, ys, zs, n, out);
 }
 
 void SensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
                                     const uint32_t* offsets, size_t num_frames,
                                     const double* xs, const double* ys,
                                     const double* zs, double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          batch_detail::kNoCutoff);
+  const batch_detail::RangeBearingEval eval(*this, batch_detail::kNoCutoff);
+  batch_detail::BatchRuns(eval, frames, offsets, num_frames, xs, ys, zs, out);
 }
 
 void SensorModel::ProbReadBatchSimd(const ReaderFrame& frame, const double* xs,
@@ -76,20 +76,22 @@ void LogisticSensorModel::ProbReadBatch(const ReaderFrame& frame,
                                         const double* xs, const double* ys,
                                         const double* zs, size_t n,
                                         double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out, negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchSoa(eval, frame, xs, ys, zs, n, out);
 }
 
 void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                  const Vec3* positions,
                                                  size_t n, double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchAos(eval, frame, positions, n, out);
 }
 
 void LogisticSensorModel::ProbReadBatchGather(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
     const double* ys, const double* zs, size_t n, double* out) const {
-  batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchGather(eval, frames, frame_idx, xs, ys, zs, n, out);
 }
 
 void LogisticSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
@@ -98,8 +100,8 @@ void LogisticSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
                                             const double* xs, const double* ys,
                                             const double* zs,
                                             double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchRuns(eval, frames, offsets, num_frames, xs, ys, zs, out);
 }
 
 void LogisticSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,

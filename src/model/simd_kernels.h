@@ -6,7 +6,7 @@
 // filter's reader-run bucketing, where per-run overhead matters: model
 // constants are broadcast once per *call*, only the 5-value frame per run).
 //
-// The geometry replicates batch_detail::EvalOne per lane: same 1e-12
+// The geometry replicates batch_detail::RangeBearingEval per lane: same 1e-12
 // degenerate-distance guard, same clamped bearing, same zero-beyond cutoff;
 // the transcendentals are the simd.h polynomials, so results match the
 // scalar kernels to the 1e-9 relative bound documented there (parity tests

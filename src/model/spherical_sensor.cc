@@ -49,21 +49,23 @@ void SphericalSensorModel::ProbReadBatch(const ReaderFrame& frame,
                                          const double* xs, const double* ys,
                                          const double* zs, size_t n,
                                          double* out) const {
-  batch_detail::BatchSoa(*this, frame, xs, ys, zs, n, out, negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchSoa(eval, frame, xs, ys, zs, n, out);
 }
 
 void SphericalSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                                   const Vec3* positions,
                                                   size_t n,
                                                   double* out) const {
-  batch_detail::BatchAos(*this, frame, positions, n, out, negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchAos(eval, frame, positions, n, out);
 }
 
 void SphericalSensorModel::ProbReadBatchGather(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
     const double* ys, const double* zs, size_t n, double* out) const {
-  batch_detail::BatchGather(*this, frames, frame_idx, xs, ys, zs, n, out,
-                            negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchGather(eval, frames, frame_idx, xs, ys, zs, n, out);
 }
 
 namespace {
@@ -87,8 +89,8 @@ void SphericalSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
                                              const double* ys,
                                              const double* zs,
                                              double* out) const {
-  batch_detail::BatchRuns(*this, frames, offsets, num_frames, xs, ys, zs, out,
-                          negligible_range_);
+  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
+  batch_detail::BatchRuns(eval, frames, offsets, num_frames, xs, ys, zs, out);
 }
 
 void SphericalSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,

@@ -13,12 +13,12 @@ void AppendTimingsJson(std::string* out, const EpochStageTimings& t) {
   std::snprintf(
       buf, sizeof(buf),
       "{\"step\":%llu,\"epoch_time\":%.6f,\"total\":%.9f,"
-      "\"synchronize\":%.9f,\"weight\":%.9f,\"resample\":%.9f,"
-      "\"remap\":%.9f,\"compress\":%.9f,\"emit\":%.9f,\"dispatch\":%.9f,"
-      "\"readings\":%u,\"events\":%u}",
+      "\"synchronize\":%.9f,\"weight\":%.9f,\"init\":%.9f,"
+      "\"resample\":%.9f,\"remap\":%.9f,\"compress\":%.9f,\"emit\":%.9f,"
+      "\"dispatch\":%.9f,\"readings\":%u,\"events\":%u}",
       static_cast<unsigned long long>(t.step), t.epoch_time, t.total,
-      t.synchronize, t.weight, t.resample, t.remap, t.compress, t.emit,
-      t.dispatch, t.readings, t.events);
+      t.synchronize, t.weight, t.init, t.resample, t.remap, t.compress,
+      t.emit, t.dispatch, t.readings, t.events);
   *out += buf;
 }
 

@@ -31,6 +31,7 @@ struct EpochStageTimings {
   double total = 0.0;        // whole ProcessEpoch for this epoch
   double synchronize = 0.0;  // ingest-side Push/Poll attributed to the epoch
   double weight = 0.0;       // reader+object weighting phases
+  double init = 0.0;         // object (re)initialization, inside `weight`
   double resample = 0.0;     // reader resampling
   double remap = 0.0;        // lazy-remap replay inside attachment sync
   double compress = 0.0;     // compression + hibernation + reclaim

@@ -808,7 +808,7 @@ void FactoredParticleFilter::RunCapacityReclaim() {
   }
 }
 
-GaussianBelief FactoredParticleFilter::FitBelief(
+std::vector<WeightedPoint> FactoredParticleFilter::MarginalPoints(
     const ObjectState& state) const {
   std::vector<WeightedPoint> points;
   points.reserve(state.particles.size());
@@ -818,7 +818,7 @@ GaussianBelief FactoredParticleFilter::FitBelief(
          state.particles.WeightAt(k) *
              readers_[state.particles.ReaderIdxAt(k)].weight});
   }
-  return GaussianBelief::Fit(points);
+  return points;
 }
 
 void FactoredParticleFilter::RunCompression() {
@@ -840,21 +840,12 @@ void FactoredParticleFilter::RunCompression() {
     // the slots the epoch sweep has not touched — the ones lazy mode left
     // stale.
     SyncReaderAttachments(slot);
-    const GaussianBelief fit = FitBelief(state);
+    const std::vector<WeightedPoint> points = MarginalPoints(state);
+    const GaussianBelief fit = GaussianBelief::Fit(points);
     CompressionCandidate c;
     c.slot = slot;
     c.last_processed_step = state.last_processed_step;
-    {
-      std::vector<WeightedPoint> points;
-      points.reserve(state.particles.size());
-      for (size_t k = 0; k < state.particles.size(); ++k) {
-        points.push_back(
-            {state.particles.PositionAt(k),
-             state.particles.WeightAt(k) *
-                 readers_[state.particles.ReaderIdxAt(k)].weight});
-      }
-      c.kl = fit.CompressionErrorFrom(points);
-    }
+    c.kl = fit.CompressionErrorFrom(points);
     candidates.push_back(c);
     fits.push_back(fit);
   }
@@ -888,7 +879,7 @@ void FactoredParticleFilter::RunHibernation() {
     ObjectState& state = states_[slot];
     if (!state.IsCompressed()) {
       SyncReaderAttachments(slot);  // The fit reads the attachments.
-      state.compressed = FitBelief(state);
+      state.compressed = GaussianBelief::Fit(MarginalPoints(state));
       state.particles.clear();
       state.particles.ShrinkToFit();
     }
@@ -908,6 +899,13 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   const bool telemetry = obs::TelemetryEnabled();
   if (telemetry) remap_sync_ns_.store(0, std::memory_order_relaxed);
   const uint64_t t_start = telemetry ? MonotonicNanos() : 0;
+  // The `init` sub-stage: clocks read around each (re)initialization only.
+  uint64_t init_ns = 0;
+  auto timed_init = [&](auto&& init) {
+    const uint64_t t0 = telemetry ? MonotonicNanos() : 0;
+    init();
+    if (telemetry) init_ns += MonotonicNanos() - t0;
+  };
 
   // --- Reader update -------------------------------------------------------
   if (!readers_initialized_) {
@@ -969,11 +967,12 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     const bool brand_new =
         state.particles.empty() && !state.IsCompressed();
     if (brand_new) {
-      InitializeObjectParticles(&state, EffectiveFullBudget());
+      timed_init(
+          [&] { InitializeObjectParticles(&state, EffectiveFullBudget()); });
     } else if (state.IsCompressed()) {
-      DecompressObject(&state, slot);
+      timed_init([&] { DecompressObject(&state, slot); });
     } else if (state.last_observed_step >= 0) {
-      MaybeReinitialize(&state, reader_ref);
+      timed_init([&] { MaybeReinitialize(&state, reader_ref); });
     }
     if (!UpdateObject(&state, /*observed=*/true, slot, /*salt=*/0,
                       &lane_scratch_[0])) {
@@ -992,7 +991,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       const double explain = model_.sensor().ProbReadAt(
           Pose(reader_ref, reader_est.heading), cloud_mean);
       if (explain < config_.decompress_neg_evidence_prob) {
-        HalfReinitialize(&state);
+        timed_init([&] { HalfReinitialize(&state); });
         UpdateObject(&state, /*observed=*/true, slot, /*salt=*/1,
                      &lane_scratch_[0]);
       }
@@ -1021,7 +1020,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       const double pr = model_.sensor().ProbReadAt(
           Pose(reader_ref, reader_est.heading), state.compressed->mean());
       if (pr < revive_prob) continue;
-      DecompressObject(&state, slot);
+      timed_init([&] { DecompressObject(&state, slot); });
     }
     if (state.particles.empty()) continue;
     case2_updates.push_back(slot);
@@ -1087,6 +1086,7 @@ void FactoredParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
     stages_.weight =
         static_cast<double>(t_weighted - t_start) * 1e-9 - remap;
     if (stages_.weight < 0) stages_.weight = 0;
+    stages_.init = static_cast<double>(init_ns) * 1e-9;
     stages_.reader_resample =
         static_cast<double>(t_resampled - t_weighted) * 1e-9;
     stages_.remap_replay = remap;

@@ -285,6 +285,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// and never consulted by inference itself.
   struct EpochStageSeconds {
     double weight = 0.0;          ///< Reader update + object weighting.
+    /// Object (re)initialization and decompression (§IV-A), a part of
+    /// `weight`.
+    double init = 0.0;
     double reader_resample = 0.0; ///< ResampleReaders (rare).
     double remap_replay = 0.0;    ///< Lazy remap replay, summed over lanes.
     double compress = 0.0;        ///< Index + compression + hibernation.
@@ -378,9 +381,9 @@ class FactoredParticleFilter final : public InferenceFilter {
   /// far below it.
   void RunCapacityReclaim();
 
-  /// Fits the current Gaussian to an object's particles (weights combined
-  /// with reader weights, i.e. the true marginal).
-  GaussianBelief FitBelief(const ObjectState& state) const;
+  /// An object's particles with their weights combined with reader
+  /// weights, i.e. the true marginal that compression fits and scores.
+  std::vector<WeightedPoint> MarginalPoints(const ObjectState& state) const;
 
   void RunCompression();
   /// Collapses tags unread for EffectiveHibernateAfter() epochs into the

@@ -4,8 +4,8 @@
 
 namespace rfid {
 
-Vec3 ParticleInitializer::SampleCone(const Pose& reader, Rng& rng) const {
-  const double range = sensor_->MaxRange() * config_.range_overestimate;
+Vec3 ParticleInitializer::SampleCone(const Pose& reader, double range,
+                                      Rng& rng) const {
   // Area-uniform over the planar cone: radius ~ range * sqrt(u).
   const double r = range * std::sqrt(rng.NextDouble());
   const double phi =
@@ -17,17 +17,18 @@ Vec3 ParticleInitializer::SampleCone(const Pose& reader, Rng& rng) const {
 }
 
 Vec3 ParticleInitializer::Sample(const Pose& reader, Rng& rng) const {
+  const double range = sensor_->MaxRange() * config_.range_overestimate;
   if (!config_.clip_to_shelves || shelves_ == nullptr || shelves_->empty()) {
-    return SampleCone(reader, rng);
+    return SampleCone(reader, range, rng);
   }
   for (int attempt = 0; attempt < config_.max_rejection_tries; ++attempt) {
-    const Vec3 p = SampleCone(reader, rng);
+    const Vec3 p = SampleCone(reader, range, rng);
     if (shelves_->Contains(p)) return p;
   }
   // The cone may barely overlap the shelves (or not at all, under a bad
   // reader hypothesis); fall back to an unclipped sample so the particle set
   // stays full-size and weighting can sort it out.
-  return SampleCone(reader, rng);
+  return SampleCone(reader, range, rng);
 }
 
 }  // namespace rfid

@@ -42,7 +42,8 @@ class ParticleInitializer {
   const InitializerConfig& config() const { return config_; }
 
  private:
-  Vec3 SampleCone(const Pose& reader, Rng& rng) const;
+  /// `range` is the cone depth, MaxRange() * range_overestimate.
+  Vec3 SampleCone(const Pose& reader, double range, Rng& rng) const;
 
   InitializerConfig config_;
   const SensorModel* sensor_;

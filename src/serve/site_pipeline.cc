@@ -69,6 +69,7 @@ SitePipeline::SitePipeline(SiteId site, const SitePipelineConfig& config,
   epoch_h_ = reg.GetHistogram("rfid_epoch_seconds");
   stage_sync_h_ = reg.GetHistogram("rfid_stage_seconds", "stage=\"synchronize\"");
   stage_weight_h_ = reg.GetHistogram("rfid_stage_seconds", "stage=\"weight\"");
+  stage_init_h_ = reg.GetHistogram("rfid_stage_seconds", "stage=\"init\"");
   stage_resample_h_ =
       reg.GetHistogram("rfid_stage_seconds", "stage=\"reader_resample\"");
   stage_remap_h_ =
@@ -170,6 +171,7 @@ void SitePipeline::RecordEpochTelemetry(const SyncedEpoch& epoch,
   if (filter != nullptr) {
     const auto& stages = filter->last_epoch_stages();
     t.weight = stages.weight;
+    t.init = stages.init;
     t.resample = stages.reader_resample;
     t.remap = stages.remap_replay;
     t.compress = stages.compress;
@@ -180,6 +182,7 @@ void SitePipeline::RecordEpochTelemetry(const SyncedEpoch& epoch,
   epoch_h_->Observe(t.total);
   stage_sync_h_->Observe(t.synchronize);
   stage_weight_h_->Observe(t.weight);
+  stage_init_h_->Observe(t.init);
   stage_resample_h_->Observe(t.resample);
   stage_remap_h_->Observe(t.remap);
   stage_compress_h_->Observe(t.compress);

@@ -233,6 +233,7 @@ class SitePipeline {
   obs::Histogram* epoch_h_ = nullptr;
   obs::Histogram* stage_sync_h_ = nullptr;
   obs::Histogram* stage_weight_h_ = nullptr;
+  obs::Histogram* stage_init_h_ = nullptr;
   obs::Histogram* stage_resample_h_ = nullptr;
   obs::Histogram* stage_remap_h_ = nullptr;
   obs::Histogram* stage_compress_h_ = nullptr;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "model/cone_sensor.h"
@@ -363,6 +364,149 @@ TEST(BatchKernelTest, ConeZeroBeyondMaxRangeExactly) {
   double out[3] = {-1, -1, -1};
   sensor.ProbReadBatch(frame, xs, ys, zs, 3, out);
   for (double p : out) EXPECT_EQ(p, 0.0);
+}
+
+/// Offsets (heading-0 frame) whose computed cos θ = dx / |d| sits at, or as
+/// close as the arithmetic allows to, `target`, at distance ~`dist` and
+/// height `dz`: dx is walked one ulp at a time towards the target.
+Vec3 OffsetAtCos(double target, double dist, double dz) {
+  const double planar = std::sqrt(dist * dist - dz * dz);
+  const double dy = planar * std::sqrt(std::max(0.0, 1.0 - target * target));
+  double dx = target * dist;
+  auto cos_of = [&](double x) {
+    return x / std::sqrt(x * x + dy * dy + dz * dz);
+  };
+  for (int i = 0; i < 64 && cos_of(dx) != target; ++i) {
+    dx = std::nextafter(
+        dx, cos_of(dx) < target ? std::numeric_limits<double>::infinity()
+                                : -std::numeric_limits<double>::infinity());
+  }
+  return {dx, dy, dz};
+}
+
+/// Every scalar batch shape (SoA, AoS, Gather, Runs) must return exactly
+/// ProbReadAt at positions built on and around the wedge edges, where the
+/// cone kernel's bearing pre-test decides without an acos.
+void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
+  const ConeSensorParams& p = sensor.params();
+  const double theta_major = p.major_half_angle;
+  const double theta_max = theta_major + p.minor_extra_angle;
+  std::vector<double> cosines;
+  for (const double edge : {std::cos(theta_major), std::cos(theta_max)}) {
+    for (const double base : {edge, edge - 1e-12, edge + 1e-12}) {
+      cosines.push_back(base);
+      double up = base, down = base;
+      for (int ulps = 1; ulps <= 4; ++ulps) {
+        up = std::nextafter(up, 2.0);
+        down = std::nextafter(down, -2.0);
+        if (ulps != 3) {
+          cosines.push_back(up);
+          cosines.push_back(down);
+        }
+      }
+    }
+  }
+  std::vector<Vec3> offsets;
+  for (const double c : cosines) {
+    for (const double dist : {0.5, 2.0, 3.7, 4.4}) {
+      offsets.push_back(OffsetAtCos(c, dist, 0.0));
+      offsets.push_back(OffsetAtCos(c, dist, 0.3));
+    }
+  }
+  // Behind the antenna (dot <= 0), inside and outside the degenerate
+  // 1e-12 distance guard.
+  for (const double d : {1e-13, 1e-12, 5e-12, 1e-11, 2e-11, 0.5, 4.0}) {
+    offsets.push_back({-d, 0.0, 0.0});
+    offsets.push_back({0.0, d, 0.0});
+    offsets.push_back({0.0, -d, 0.0});
+    offsets.push_back({-d, d, 0.0});
+    offsets.push_back({0.0, 0.0, d});
+  }
+  offsets.push_back({0.0, 0.0, 0.0});
+  offsets.push_back({1e-13, 0.0, 0.0});
+  offsets.push_back({1e-12, 0.0, 0.0});
+  // Exactly MaxRange(), and one ulp inside, on and off the axis.
+  const double r = sensor.MaxRange();
+  for (const double d : {r, std::nextafter(r, 0.0)}) {
+    offsets.push_back({d, 0.0, 0.0});
+    offsets.push_back({-d, 0.0, 0.0});
+    offsets.push_back({0.0, d, 0.0});
+    offsets.push_back(OffsetAtCos(std::cos(theta_major), d, 0.0));
+  }
+
+  // Frame 0 has heading 0, so the offsets are exact; frame 1 turns and
+  // moves them, so the edges are hit to within a few ulps.
+  const std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0),
+                                   Pose({1.5, -2.0, 0.25}, 2.1)};
+  std::vector<uint32_t> frame_idx;
+  std::vector<Vec3> positions;
+  std::vector<uint32_t> offsets_by_frame = {0};
+  for (uint32_t j = 0; j < poses.size(); ++j) {
+    const Pose& pose = poses[j];
+    const double c = std::cos(pose.heading), s = std::sin(pose.heading);
+    for (const Vec3& o : offsets) {
+      frame_idx.push_back(j);
+      positions.push_back(pose.position +
+                          Vec3{o.x * c - o.y * s, o.x * s + o.y * c, o.z});
+    }
+    offsets_by_frame.push_back(static_cast<uint32_t>(positions.size()));
+  }
+  const size_t n = positions.size();
+  Soa soa;
+  for (const Vec3& q : positions) {
+    soa.xs.push_back(q.x);
+    soa.ys.push_back(q.y);
+    soa.zs.push_back(q.z);
+  }
+  std::vector<ReaderFrame> frames;
+  for (const Pose& pose : poses) frames.push_back(ReaderFrame::From(pose));
+
+  std::vector<double> out_soa(n, -1.0), out_aos(n, -1.0);
+  for (size_t j = 0; j < poses.size(); ++j) {
+    const uint32_t begin = offsets_by_frame[j];
+    const size_t count = offsets_by_frame[j + 1] - begin;
+    sensor.ProbReadBatch(frames[j], soa.xs.data() + begin,
+                         soa.ys.data() + begin, soa.zs.data() + begin, count,
+                         out_soa.data() + begin);
+    sensor.ProbReadBatchPositions(frames[j], positions.data() + begin, count,
+                                  out_aos.data() + begin);
+  }
+  std::vector<double> out_gather(n, -1.0), out_runs(n, -1.0);
+  sensor.ProbReadBatchGather(frames.data(), frame_idx.data(), soa.xs.data(),
+                             soa.ys.data(), soa.zs.data(), n,
+                             out_gather.data());
+  sensor.ProbReadBatchRuns(frames.data(), offsets_by_frame.data(),
+                           frames.size(), soa.xs.data(), soa.ys.data(),
+                           soa.zs.data(), out_runs.data());
+
+  size_t in_minor_wedge = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const double scalar = sensor.ProbReadAt(poses[frame_idx[k]], positions[k]);
+    in_minor_wedge += scalar > 0.0 && scalar < p.major_read_rate;
+    EXPECT_EQ(out_soa[k], scalar) << "SoA, element " << k;
+    EXPECT_EQ(out_aos[k], scalar) << "AoS, element " << k;
+    EXPECT_EQ(out_gather[k], scalar) << "Gather, element " << k;
+    EXPECT_EQ(out_runs[k], scalar) << "Runs, element " << k;
+  }
+  EXPECT_GT(in_minor_wedge, 0u);
+}
+
+TEST(BatchKernelTest, ConeWedgeEdgesMatchScalarExactly) {
+  ExpectConeWedgeEdgesExact(ConeSensorModel());
+}
+
+TEST(BatchKernelTest, ConeWedgeEdgesMatchScalarExactlyForOtherWedges) {
+  // θ_max = 90° (no behind-the-antenna shortcut), past 90°, past π (no
+  // pre-test at all) and no minor wedge.
+  for (const auto& [major_deg, minor_deg] :
+       {std::pair{40.0, 50.0}, std::pair{60.0, 45.0}, std::pair{120.0, 70.0},
+        std::pair{20.0, 0.0}}) {
+    ConeSensorParams params;
+    params.major_half_angle = major_deg * M_PI / 180.0;
+    params.minor_extra_angle = minor_deg * M_PI / 180.0;
+    SCOPED_TRACE(::testing::Message() << major_deg << "+" << minor_deg);
+    ExpectConeWedgeEdgesExact(ConeSensorModel(params));
+  }
 }
 
 }  // namespace

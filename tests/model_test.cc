@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "model/cone_sensor.h"
 #include "model/location_sensing.h"
 #include "model/motion_model.h"
 #include "model/object_model.h"
 #include "model/world_model.h"
+#include "sim/lab.h"
+#include "sim/warehouse.h"
 
 namespace rfid {
 namespace {
@@ -168,6 +172,111 @@ TEST(ShelfRegionsTest, BoundingBoxCoversAll) {
   const Aabb& b = r.BoundingBox();
   EXPECT_EQ(b.min, Vec3(0, -2, 0));
   EXPECT_EQ(b.max, Vec3(6, 3, 0));
+}
+
+/// The linear scan that ShelfRegions::Contains must agree with exactly.
+bool LinearScanContains(const std::vector<Aabb>& boxes, const Vec3& p) {
+  for (const Aabb& b : boxes) {
+    if (b.Contains(p)) return true;
+  }
+  return false;
+}
+
+/// Compares Contains with the scan at 10^5 random points over and around
+/// the bounding box (half of them in a box's z plane, so flat boxes are
+/// hit), at every box's corners, edge and face midpoints and centre with
+/// their one-ulp neighbours, just outside the bounding box, and at NaN.
+void ExpectContainsMatchesScan(const std::vector<Aabb>& boxes, uint64_t seed) {
+  const ShelfRegions regions(boxes);
+  size_t inside = 0;
+  auto check = [&](const Vec3& p) {
+    const bool expected = LinearScanContains(boxes, p);
+    inside += expected;
+    ASSERT_EQ(regions.Contains(p), expected) << "point " << p;
+  };
+  const Aabb& b = regions.BoundingBox();
+  const Vec3 margin = b.Extent() * 0.1 + Vec3{0.5, 0.5, 0.5};
+  Rng rng(seed);
+  for (int i = 0; i < 100000; ++i) {
+    const Aabb& box = boxes[rng.UniformInt(boxes.size())];
+    const double z = rng.Bernoulli(0.5)
+                         ? (rng.Bernoulli(0.5) ? box.min.z : box.max.z)
+                         : rng.Uniform(b.min.z - margin.z, b.max.z + margin.z);
+    check({rng.Uniform(b.min.x - margin.x, b.max.x + margin.x),
+           rng.Uniform(b.min.y - margin.y, b.max.y + margin.y), z});
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Aabb& box : boxes) {
+    const Vec3 mid = box.Center();
+    for (const double x : {box.min.x, mid.x, box.max.x}) {
+      for (const double y : {box.min.y, mid.y, box.max.y}) {
+        for (const double z : {box.min.z, mid.z, box.max.z}) {
+          for (const double step : {-kInf, 0.0, kInf}) {
+            check({std::nextafter(x, step), y, z});
+            check({x, std::nextafter(y, step), z});
+            check({x, y, std::nextafter(z, step)});
+          }
+        }
+      }
+    }
+  }
+  const Vec3 c = b.Center();
+  check({std::nextafter(b.min.x, -kInf), c.y, c.z});
+  check({std::nextafter(b.max.x, kInf), c.y, c.z});
+  check({c.x, std::nextafter(b.min.y, -kInf), c.z});
+  check({c.x, std::nextafter(b.max.y, kInf), c.z});
+  check({c.x, c.y, std::nextafter(b.min.z, -kInf)});
+  check({c.x, c.y, std::nextafter(b.max.z, kInf)});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Aabb& box : boxes) {
+    const Vec3 m = box.Center();
+    check({nan, m.y, m.z});
+    check({m.x, nan, m.z});
+    check({m.x, m.y, nan});
+  }
+  EXPECT_GT(inside, 0u) << "no point landed in a region";
+}
+
+TEST(ShelfRegionsTest, ContainsMatchesLinearScanOnWarehouse) {
+  WarehouseConfig config;
+  config.num_shelves = 40;
+  config.objects_per_shelf = 50;
+  const auto layout = BuildWarehouse(config);
+  ASSERT_TRUE(layout.ok());
+  ASSERT_EQ(layout.value().shelf_boxes.size(), 40u);
+  ExpectContainsMatchesScan(layout.value().shelf_boxes, 21);
+}
+
+TEST(ShelfRegionsTest, ContainsMatchesLinearScanOnLab) {
+  const auto lab = BuildLabDeployment(LabConfig{});
+  ASSERT_TRUE(lab.ok());
+  ExpectContainsMatchesScan(lab.value().shelf_boxes, 22);
+}
+
+TEST(ShelfRegionsTest, ContainsMatchesLinearScanOnSingleRegion) {
+  ExpectContainsMatchesScan({Aabb({-1, 2, 0}, {3, 2.5, 0})}, 23);
+}
+
+TEST(ShelfRegionsTest, ContainsMatchesLinearScanOnOverlappingRegions) {
+  // Nested, partly overlapping, thick-z, flat-z, zero-width and point-like
+  // boxes, plus an empty one that must never match.
+  ExpectContainsMatchesScan({Aabb({0, 0, 0}, {10, 10, 2}),
+                             Aabb({2, 2, 0.5}, {3, 3, 1}),
+                             Aabb({8, -3, 0}, {14, 4, 0}),
+                             Aabb({5, 5, 1}, {5, 12, 1}),
+                             Aabb({-4, 7, -1}, {-4, 7, -1}),
+                             Aabb::Empty(),
+                             Aabb({1e-3, 9.999, 0}, {20, 10.001, 3})},
+                            24);
+  Rng rng(25);
+  std::vector<Aabb> random;
+  for (int i = 0; i < 30; ++i) {
+    const Vec3 lo{rng.Uniform(-50, 50), rng.Uniform(-20, 20),
+                  rng.Uniform(-1, 1)};
+    random.push_back(Aabb(lo, lo + Vec3{rng.Uniform(0, 30), rng.Uniform(0, 8),
+                                        rng.Bernoulli(0.5) ? 0.0 : 1.0}));
+  }
+  ExpectContainsMatchesScan(random, 26);
 }
 
 // -------------------------------------------------- ObjectLocationModel ---

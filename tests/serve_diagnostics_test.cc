@@ -200,6 +200,19 @@ TEST(DumpDiagnosticsTest, BundleContainsMetricsTraceFlightAndSpill) {
             std::string::npos);
   EXPECT_NE(prom.find("rfid_stage_seconds_count{stage=\"dispatch\"}"),
             std::string::npos);
+  // Object (re)initialization is its own stage, timed inside `weight`.
+  EXPECT_NE(prom.find("rfid_stage_seconds_bucket{stage=\"init\""),
+            std::string::npos);
+  obs::MetricsRegistry& registry = server.value()->metrics();
+  const double init_s =
+      registry.GetHistogram("rfid_stage_seconds", "stage=\"init\"")
+          ->Snap()
+          .sum_seconds;
+  EXPECT_GT(init_s, 0.0);
+  EXPECT_LE(init_s,
+            registry.GetHistogram("rfid_stage_seconds", "stage=\"weight\"")
+                ->Snap()
+                .sum_seconds);
   EXPECT_NE(prom.find("rfid_ingest_enqueue_seconds"), std::string::npos);
   EXPECT_NE(prom.find("rfid_pump_sweep_seconds"), std::string::npos);
   EXPECT_NE(prom.find("rfid_records_processed_total"), std::string::npos);
@@ -224,6 +237,7 @@ TEST(DumpDiagnosticsTest, BundleContainsMetricsTraceFlightAndSpill) {
   EXPECT_NE(flight.find("\"sites\""), std::string::npos);
   EXPECT_NE(flight.find("\"trigger\":\"quarantine\""), std::string::npos);
   EXPECT_NE(flight.find("\"ewma_seconds\""), std::string::npos);
+  EXPECT_NE(flight.find("\"init\":"), std::string::npos);
 
   // The dead-letter spill round-trips back to the in-memory ring.
   const SitePipeline* pipeline = server.value()->FindSite(1);
