@@ -83,8 +83,8 @@ void BM_ConeSensorProbRead(benchmark::State& state) {
 }
 BENCHMARK(BM_ConeSensorProbRead);
 
-/// The SoA batch kernel against the scalar loop above: one frame, a
-/// contiguous block of particle positions (the factored filter's hot path).
+/// The scalar gather kernel against the scalar loop above, over one frame: a
+/// one-frame table and an all-zero index.
 template <typename SensorT>
 void BM_SensorProbReadBatch(benchmark::State& state) {
   SensorT sensor;
@@ -97,9 +97,10 @@ void BM_SensorProbReadBatch(benchmark::State& state) {
     zs[k] = 0.0;
   }
   const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
+  const std::vector<uint32_t> idx(n, 0);
   for (auto _ : state) {
-    sensor.ProbReadBatch(frame, xs.data(), ys.data(), zs.data(), n,
-                         out.data());
+    sensor.ProbReadBatchGather(&frame, idx.data(), xs.data(), ys.data(),
+                               zs.data(), n, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
@@ -108,8 +109,8 @@ BENCHMARK(BM_SensorProbReadBatch<ConeSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<LogisticSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<SphericalSensorModel>)->Arg(1000);
 
-/// The SIMD lanes against the scalar batch above (same single-frame shape;
-/// backend in the label). Includes a remainder-lane size.
+/// The SIMD gather lanes against the scalar batch above (same one-frame
+/// shape; backend in the label). Includes a remainder-lane size.
 template <typename SensorT>
 void BM_SensorProbReadBatchSimd(benchmark::State& state) {
   SensorT sensor;
@@ -122,9 +123,10 @@ void BM_SensorProbReadBatchSimd(benchmark::State& state) {
     zs[k] = 0.0;
   }
   const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
+  const std::vector<uint32_t> idx(n, 0);
   for (auto _ : state) {
-    sensor.ProbReadBatchSimd(frame, xs.data(), ys.data(), zs.data(), n,
-                             out.data());
+    sensor.ProbReadBatchGatherSimd(&frame, idx.data(), xs.data(), ys.data(),
+                                   zs.data(), n, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));

@@ -117,12 +117,6 @@ class ConeBatchEval {
 
 }  // namespace
 
-void ConeSensorModel::ProbReadBatch(const ReaderFrame& frame, const double* xs,
-                                    const double* ys, const double* zs,
-                                    size_t n, double* out) const {
-  batch_detail::BatchSoa(ConeBatchEval(*this), frame, xs, ys, zs, n, out);
-}
-
 void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
                                              const Vec3* positions, size_t n,
                                              double* out) const {
@@ -154,33 +148,6 @@ simd_kernel::ConeEval MakeConeEval(const ConeSensorParams& params,
 }
 
 }  // namespace
-
-void ConeSensorModel::ProbReadBatchRuns(const ReaderFrame* frames,
-                                        const uint32_t* offsets,
-                                        size_t num_frames, const double* xs,
-                                        const double* ys, const double* zs,
-                                        double* out) const {
-  batch_detail::BatchRuns(ConeBatchEval(*this), frames, offsets, num_frames,
-                          xs, ys, zs, out);
-}
-
-void ConeSensorModel::ProbReadBatchSimd(const ReaderFrame& frame,
-                                        const double* xs, const double* ys,
-                                        const double* zs, size_t n,
-                                        double* out) const {
-  simd_kernel::BatchSimd(MakeConeEval(params_, MaxRange()), frame, xs, ys, zs,
-                         n, out);
-}
-
-void ConeSensorModel::ProbReadBatchRunsSimd(const ReaderFrame* frames,
-                                            const uint32_t* offsets,
-                                            size_t num_frames,
-                                            const double* xs, const double* ys,
-                                            const double* zs,
-                                            double* out) const {
-  simd_kernel::BatchRunsSimd(MakeConeEval(params_, MaxRange()), frames,
-                             offsets, num_frames, xs, ys, zs, out);
-}
 
 void ConeSensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
                                               const uint32_t* frame_idx,

@@ -74,18 +74,8 @@ class RangeBearingEval {
   double zero_beyond_sq_;
 };
 
-// The four batch shapes below take any per-element evaluator `eval(frame,
+// The two batch shapes below take any per-element evaluator `eval(frame,
 // x, y, z)` — RangeBearingEval, or a model's own exact variant of it.
-
-/// One frame, SoA positions.
-template <typename EvalT>
-inline void BatchSoa(const EvalT& eval, const ReaderFrame& frame,
-                     const double* xs, const double* ys, const double* zs,
-                     size_t n, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = eval(frame, xs[k], ys[k], zs[k]);
-  }
-}
 
 /// One frame, AoS positions (the basic filter's per-particle object lists).
 template <typename EvalT>
@@ -105,23 +95,6 @@ inline void BatchGather(const EvalT& eval, const ReaderFrame* frames,
                         double* out) {
   for (size_t k = 0; k < n; ++k) {
     out[k] = eval(frames[frame_idx[k]], xs[k], ys[k], zs[k]);
-  }
-}
-
-/// Contiguous per-frame runs (the factored filter's reader-run bucketing):
-/// elements [offsets[j], offsets[j+1]) evaluate against frames[j]. One
-/// devirtualized call covers the whole particle set — the frame is hoisted
-/// per run instead of gathered per element.
-template <typename EvalT>
-inline void BatchRuns(const EvalT& eval, const ReaderFrame* frames,
-                      const uint32_t* offsets, size_t num_frames,
-                      const double* xs, const double* ys, const double* zs,
-                      double* out) {
-  for (size_t j = 0; j < num_frames; ++j) {
-    const ReaderFrame& frame = frames[j];
-    for (uint32_t k = offsets[j]; k < offsets[j + 1]; ++k) {
-      out[k] = eval(frame, xs[k], ys[k], zs[k]);
-    }
   }
 }
 

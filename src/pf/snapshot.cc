@@ -11,7 +11,8 @@ namespace rfid {
 
 namespace {
 
-using serialize::kMaxCount;
+using serialize::BytesRemaining;
+using serialize::CountFits;
 using serialize::ReadFramedSection;
 using serialize::ReadPod;
 using serialize::WriteFramedSection;
@@ -35,6 +36,16 @@ constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'S', 'N', 'A', 'P'};
 constexpr uint32_t kVersion = 4;
 constexpr uint32_t kMinVersion = 3;
 
+// Smallest serialized size of each counted record. A count is checked
+// against the bytes left in the input before anything is allocated for it.
+constexpr uint64_t kReaderBytes = 5 * sizeof(double);  // Pose + weight.
+constexpr uint64_t kStateMinBytes =
+    sizeof(TagId) + 3 * sizeof(int64_t) + 9 * sizeof(double) +
+    2 * sizeof(uint8_t) + sizeof(uint64_t);
+constexpr uint64_t kParticleBytes =
+    3 * sizeof(double) + sizeof(uint32_t) + sizeof(double);
+constexpr uint64_t kEntryMinBytes = 6 * sizeof(double) + sizeof(uint64_t);
+
 void WriteVec3(std::ostream& os, const Vec3& v) {
   WritePod(os, v.x);
   WritePod(os, v.y);
@@ -54,13 +65,13 @@ namespace snapshot_internal {
 Status SaveSnapshotImpl(const FactoredParticleFilter& filter,
                         std::ostream& sink, uint32_t version) {
   // The on-disk format has no notion of a pending reader remap: replay any
-  // deferred ones so the persisted attachments equal an eager filter's (a
+  // deferred ones so the persisted attachments are fully remapped (a
   // restored filter then starts with an empty remap history).
   filter.SyncAllReaderAttachments();
   // The belief payload — everything after the magic+version header. Its
   // layout has been stable since v3; v4 only changes how it is framed on
   // disk. A lambda so it writes with this function's friend access.
-  const auto write_body = [&filter, version](std::ostream& os) {
+  const auto write_body = [&filter](std::ostream& os) {
   WritePod(os, filter.step_);
   WritePod(os, static_cast<uint8_t>(filter.readers_initialized_ ? 1 : 0));
 
@@ -80,10 +91,8 @@ Status SaveSnapshotImpl(const FactoredParticleFilter& filter,
     WriteVec3(os, state.particle_bounds.min);
     WriteVec3(os, state.particle_bounds.max);
     WritePod(os, static_cast<uint8_t>(state.IsCompressed() ? 1 : 0));
-    if (version >= 3) {
-      WritePod(os, static_cast<uint8_t>(state.hibernated ? 1 : 0));
-      WritePod(os, state.last_revived_step);
-    }
+    WritePod(os, static_cast<uint8_t>(state.hibernated ? 1 : 0));
+    WritePod(os, state.last_revived_step);
     if (state.IsCompressed()) {
       WriteVec3(os, state.compressed->mean());
       for (double c : state.compressed->covariance()) WritePod(os, c);
@@ -140,27 +149,12 @@ Status SaveFilterSnapshotV3(const FactoredParticleFilter& filter,
   return snapshot_internal::SaveSnapshotImpl(filter, os, 3);
 }
 
-Status SaveFilterSnapshotV2(const FactoredParticleFilter& filter,
-                            std::ostream& os) {
-  // The v2 layout has no hibernation tier to describe a hibernated state
-  // in; writing it as plain compressed would silently change what a
-  // restore replays, so such filters are rejected. (last_revived_step is
-  // dropped, as the old format always did — it only matters once
-  // hibernation is enabled.)
-  for (const auto& state : filter.states_) {
-    if (state.hibernated) {
-      return Status::Invalid(
-          "cannot save v2 snapshot: filter has hibernated objects");
-    }
-  }
-  return snapshot_internal::SaveSnapshotImpl(filter, os, 2);
-}
-
 Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) {
   // Body parser (everything after the header), lambda for friend access.
-  // `version` is always within the supported window when this runs.
-  const auto load_body = [filter](std::istream& is,
-                                  uint32_t version) -> Status {
+  // Every count is bounded by the body's size before it sizes a container,
+  // so a corrupt count fails as truncation without a giant allocation.
+  const auto load_body = [filter](std::istream& is) -> Status {
+  const uint64_t body_bytes = BytesRemaining(is);
   int64_t step = 0;
   uint8_t readers_initialized = 0;
   if (!ReadPod(is, &step) || !ReadPod(is, &readers_initialized)) {
@@ -168,7 +162,8 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   }
 
   uint64_t reader_count = 0;
-  if (!ReadPod(is, &reader_count) || reader_count > kMaxCount) {
+  if (!ReadPod(is, &reader_count) ||
+      !CountFits(reader_count, kReaderBytes, body_bytes)) {
     return Truncated();
   }
   std::vector<FactoredParticleFilter::ReaderParticle> readers(reader_count);
@@ -180,7 +175,8 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   }
 
   uint64_t state_count = 0;
-  if (!ReadPod(is, &state_count) || state_count > kMaxCount) {
+  if (!ReadPod(is, &state_count) ||
+      !CountFits(state_count, kStateMinBytes, body_bytes)) {
     return Truncated();
   }
   std::vector<FactoredParticleFilter::ObjectState> states(state_count);
@@ -194,18 +190,15 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
         !ReadPod(is, &compressed)) {
       return Truncated();
     }
-    if (version >= 3) {
-      uint8_t hibernated = 0;
-      if (!ReadPod(is, &hibernated) ||
-          !ReadPod(is, &state.last_revived_step)) {
-        return Truncated();
-      }
-      if (hibernated != 0 && compressed == 0) {
-        return Status::Invalid(
-            "snapshot has a hibernated object without a summary");
-      }
-      state.hibernated = hibernated != 0;
+    uint8_t hibernated = 0;
+    if (!ReadPod(is, &hibernated) || !ReadPod(is, &state.last_revived_step)) {
+      return Truncated();
     }
+    if (hibernated != 0 && compressed == 0) {
+      return Status::Invalid(
+          "snapshot has a hibernated object without a summary");
+    }
+    state.hibernated = hibernated != 0;
     if (compressed != 0) {
       Vec3 mean;
       std::array<double, 6> cov;
@@ -216,7 +209,8 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
       state.compressed = GaussianBelief(mean, cov);
     }
     uint64_t particle_count = 0;
-    if (!ReadPod(is, &particle_count) || particle_count > kMaxCount) {
+    if (!ReadPod(is, &particle_count) ||
+        !CountFits(particle_count, kParticleBytes, body_bytes)) {
       return Truncated();
     }
     state.particles.reserve(particle_count);
@@ -236,7 +230,8 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
   }
 
   uint64_t entry_count = 0;
-  if (!ReadPod(is, &entry_count) || entry_count > kMaxCount) {
+  if (!ReadPod(is, &entry_count) ||
+      !CountFits(entry_count, kEntryMinBytes, body_bytes)) {
     return Truncated();
   }
   SensingRegionIndex index(filter->config_.index);
@@ -244,7 +239,8 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
     Aabb box;
     uint64_t slot_count = 0;
     if (!ReadVec3(is, &box.min) || !ReadVec3(is, &box.max) ||
-        !ReadPod(is, &slot_count) || slot_count > kMaxCount) {
+        !ReadPod(is, &slot_count) ||
+        !CountFits(slot_count, sizeof(uint32_t), body_bytes)) {
       return Truncated();
     }
     std::vector<uint32_t> slots(slot_count);
@@ -316,9 +312,9 @@ Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) 
     std::string body;
     RFID_RETURN_NOT_OK(ReadFramedSection(source, &body));
     std::istringstream body_stream(body);
-    return load_body(body_stream, version);
+    return load_body(body_stream);
   }
-  return load_body(source, version);
+  return load_body(source);
 }
 
 }  // namespace rfid

@@ -33,13 +33,6 @@ namespace rfid {
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
 
-/// Writes the legacy v2 layout (no hibernation tier), for the deprecation
-/// tests — v2 is now outside the one-back load window, so LoadFilterSnapshot
-/// rejects what this writes. Fails if the filter has hibernated objects —
-/// v2 cannot represent them faithfully.
-Status SaveFilterSnapshotV2(const FactoredParticleFilter& filter,
-                            std::ostream& os);
-
 /// Writes the legacy v3 layout (unframed payload), for downgrade paths and
 /// the cross-version compatibility tests.
 Status SaveFilterSnapshotV3(const FactoredParticleFilter& filter,

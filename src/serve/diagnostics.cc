@@ -20,6 +20,14 @@ using serialize::WritePod;
 constexpr char kMagic[8] = {'R', 'F', 'I', 'D', 'D', 'L', 'Q', '\0'};
 constexpr uint32_t kVersion = 1;
 
+/// Serialized size of one record (WriteRecord) and of the smallest entry
+/// (an empty reason), against which the parser checks claimed sizes before
+/// allocating for them.
+constexpr uint64_t kRecordBytes = sizeof(SiteId) + 2 * sizeof(uint8_t) +
+                                  sizeof(TagId) + 6 * sizeof(double);
+constexpr uint64_t kEntryMinBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + kRecordBytes;
+
 void WriteRecord(std::ostream& os, const ServeRecord& record) {
   // Field-by-field, never the whole struct: ServeRecord has padding, and
   // padding bytes in a checksummed frame would make spills of identical
@@ -121,6 +129,10 @@ Status ReadDeadLetterSpill(const std::string& path, SiteId* site,
   if (count > serialize::kMaxCount) {
     return Status::Invalid("dead-letter spill count exceeds sanity cap");
   }
+  if (!serialize::CountFits(count, kEntryMinBytes,
+                            serialize::BytesRemaining(payload))) {
+    return Status::IOError("truncated dead-letter spill entry");
+  }
   entries->clear();
   entries->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -128,6 +140,9 @@ Status ReadDeadLetterSpill(const std::string& path, SiteId* site,
     uint32_t reason_len = 0;
     if (!ReadPod(payload, &entry.sequence) || !ReadPod(payload, &reason_len)) {
       return Status::IOError("truncated dead-letter spill entry");
+    }
+    if (reason_len > serialize::BytesRemaining(payload)) {
+      return Status::IOError("truncated dead-letter spill reason");
     }
     entry.reason.resize(reason_len);
     if (reason_len > 0) {

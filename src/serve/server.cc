@@ -192,16 +192,16 @@ size_t StreamingServer::PumpOnce() {
   obs::LatencyTimer sweep_timer(pump_sweep_h_);
   obs::TraceSpan sweep_span("pump_sweep", "server");
   std::atomic<size_t> processed{0};
-  // Dynamic shard claiming (chunk = one shard): a lane that drains a light
+  // Dynamic shard claiming (one shard per claim): a lane that drains a light
   // shard immediately claims the next instead of idling behind a heavy one,
   // which is what lets aggregate throughput keep climbing with shards x
   // threads. Exactly one lane touches a shard per sweep — the queue pop,
   // the governor cadence (one Update per sweep per shard) and each site's
-  // record order are identical to the static schedule, so per-site output
-  // is unchanged at any width.
-  pool_.ParallelForDynamic(
-      shards_.size(), /*chunk_size=*/1,
-      [this, &processed](size_t s, int) { DrainShard(s, processed); });
+  // record order do not depend on the lane, so per-site output is unchanged
+  // at any width.
+  pool_.ParallelFor(shards_.size(), [this, &processed](size_t s, int) {
+    DrainShard(s, processed);
+  });
   const size_t total = processed.load(std::memory_order_relaxed);
   if (total > 0) pump_records_c_->Add(total);
   return total;

@@ -265,10 +265,10 @@ class StreamingServer {
   // pump_mu_ is held by the thread inside PumpOnce, so the analysis cannot
   // see the capability from the lane's frame. The discipline is fork/join
   // ownership handoff, not locking: exactly one lane claims a shard per
-  // sweep (ParallelForDynamic, chunk = 1 shard), a site's health_ entry is
-  // only touched by the lane owning that site's shard, the map's shape is
-  // fixed at construction, and the pool's barrier + pump_mu_ serialization
-  // order every access across sweeps.
+  // sweep (ThreadPool::ParallelFor claims one shard at a time), a site's
+  // health_ entry is only touched by the lane owning that site's shard, the
+  // map's shape is fixed at construction, and the pool's barrier + pump_mu_
+  // serialization order every access across sweeps.
   /// Governor update + queue drain for one shard; the body of the pump
   /// sweep's per-lane work.
   void DrainShard(size_t s, std::atomic<size_t>& processed)

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ios>
 #include <iosfwd>
 #include <istream>
 #include <ostream>
@@ -39,6 +40,31 @@ constexpr uint64_t kMaxCount = 100'000'000;
 /// turning into a giant allocation.
 constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 30;
 
+/// Bytes between the read position of `is` and the end of its input, or
+/// UINT64_MAX when the stream cannot seek (then only the sanity caps bound a
+/// claimed size). Parsers compare a claimed length or count against this
+/// *before* allocating for it, so a corrupt or hostile size field costs at
+/// most an allocation the size of the input. Works on the stream buffer
+/// directly and restores its position, leaving the stream state untouched.
+inline uint64_t BytesRemaining(std::istream& is) {
+  constexpr uint64_t kUnknown = UINT64_MAX;
+  std::streambuf* buf = is.rdbuf();
+  if (buf == nullptr) return kUnknown;
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return kUnknown;
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  buf->pubseekpos(here, std::ios::in);
+  if (end == std::streampos(-1) || end < here) return kUnknown;
+  return static_cast<uint64_t>(end - here);
+}
+
+/// True when `count` records of at least `min_record_bytes` serialized bytes
+/// each fit in `remaining` bytes of input (and under kMaxCount).
+inline bool CountFits(uint64_t count, uint64_t min_record_bytes,
+                      uint64_t remaining) {
+  return count <= kMaxCount && count <= remaining / min_record_bytes;
+}
+
 /// Writes one CRC-framed section: [u64 length][u32 crc32][bytes]. The
 /// checksum lets the reader verify the bytes *before* parsing them, so a
 /// torn or bit-rotted checkpoint section fails with a clean Status instead
@@ -64,6 +90,9 @@ inline Status ReadFramedSection(std::istream& is, std::string* out) {
   }
   if (!ReadPod(is, &expected_crc)) {
     return Status::IOError("truncated section header");
+  }
+  if (length > BytesRemaining(is)) {
+    return Status::IOError("truncated section body");
   }
   out->resize(length);
   if (length > 0) {

@@ -2,25 +2,20 @@
 // updates across cores.
 //
 // Design constraints, in order:
-//  1. Determinism: both scheduling modes guarantee fn(i, lane) runs exactly
-//     once per index; only *where* an index runs depends on the mode. Callers
-//     keep results bit-identical across thread counts (and across schedules)
-//     by deriving all randomness from the *index* (per-slot RNG streams),
-//     never from the lane.
+//  1. Determinism: fn(i, lane) runs exactly once per index; only *where* an
+//     index runs is timing-dependent. Callers keep results bit-identical
+//     across thread counts by deriving all randomness from the *index*
+//     (per-slot RNG streams), never from the lane.
 //  2. No per-epoch thread churn: workers are created once and parked on a
 //     condition variable between epochs.
-//  3. Zero overhead at num_threads == 1: both entry points degenerate to a
-//     plain inline loop without touching any synchronization primitive.
+//  3. Zero overhead at num_threads == 1: ParallelFor degenerates to a plain
+//     inline loop without touching any synchronization primitive.
 //
-// Two scheduling modes:
-//  * ParallelFor — static partitioning: lane t handles the contiguous block
-//    [t*n/L, (t+1)*n/L). The lane-to-index map is a pure function of
-//    (n, num_threads); cheapest when per-index cost is uniform.
-//  * ParallelForDynamic — chunked work stealing: the range is cut into
-//    fixed-size chunks claimed through a single atomic cursor, so a lane
-//    that finishes early takes the next chunk instead of idling behind a
-//    lane stuck on expensive indices. Which lane runs a chunk is
-//    timing-dependent; what the chunk computes must not be.
+// Scheduling: every lane claims the next unclaimed index through a single
+// atomic cursor, so a lane that finishes early takes more work instead of
+// idling behind a lane stuck on an expensive index. Callers with many cheap
+// indices batch them into coarser work items themselves (the filter's
+// cost-balanced Case-2 chunks).
 #pragma once
 
 #include <atomic>
@@ -45,22 +40,14 @@ class ThreadPool {
 
   int num_threads() const { return num_lanes_; }
 
-  /// Calls fn(i, lane) for every i in [0, n), partitioned into contiguous
-  /// blocks: lane t handles [t*n/L, (t+1)*n/L). The caller runs lane 0;
-  /// blocks until every index is done. Not reentrant.
-  void ParallelFor(size_t n, const std::function<void(size_t, int)>& fn);
-
-  /// Calls fn(i, lane) for every i in [0, n) exactly once, dispatching
-  /// contiguous chunks of `chunk_size` indices (the last chunk may be short)
-  /// through an atomic claim cursor shared by all lanes — work stealing in
-  /// its simplest deterministic-safe form. `chunk_size` 0 picks a default
-  /// that gives each lane several chunks to balance over. The caller
+  /// Calls fn(i, lane) for every i in [0, n) exactly once, handing out one
+  /// index at a time through an atomic claim cursor shared by all lanes —
+  /// work stealing in its simplest deterministic-safe form. The caller
   /// participates as lane 0 and blocks until every index is done. Lane ids
-  /// remain valid scratch indices (one lane runs one chunk at a time), but
-  /// the chunk-to-lane assignment is a race by design: fn must derive
+  /// remain valid scratch indices (one lane runs one index at a time), but
+  /// the index-to-lane assignment is a race by design: fn must derive
   /// results from the index alone. Not reentrant.
-  void ParallelForDynamic(size_t n, size_t chunk_size,
-                          const std::function<void(size_t, int)>& fn);
+  void ParallelFor(size_t n, const std::function<void(size_t, int)>& fn);
 
  private:
   void WorkerLoop(int lane);
@@ -73,8 +60,7 @@ class ThreadPool {
   // pair is the happens-before edge; the analysis cannot see the handoff.
   void RunLane(int lane) RFID_NO_THREAD_SAFETY_ANALYSIS;
   /// Publishes a job, runs the caller's share as lane 0, waits for workers.
-  void RunJob(const std::function<void(size_t, int)>& fn, size_t n,
-              size_t chunk_size, bool dynamic);
+  void RunJob(const std::function<void(size_t, int)>& fn, size_t n);
 
   int num_lanes_;
   std::vector<std::thread> workers_;
@@ -90,12 +76,8 @@ class ThreadPool {
   // other access checks against these annotations.
   const std::function<void(size_t, int)>* job_ RFID_GUARDED_BY(mu_) = nullptr;
   size_t job_n_ RFID_GUARDED_BY(mu_) = 0;
-  /// Chunk width of a dynamic job.
-  size_t job_chunk_ RFID_GUARDED_BY(mu_) = 0;
-  /// Claim chunks via cursor_ vs static blocks.
-  bool job_dynamic_ RFID_GUARDED_BY(mu_) = false;
-  /// Next unclaimed chunk of a dynamic job. Relaxed ordering suffices: the
-  /// job fields are published via mu_ before any lane runs, each chunk is
+  /// Next unclaimed index of the job. Relaxed ordering suffices: the job
+  /// fields are published via mu_ before any lane runs, each index is
   /// claimed by exactly one fetch_add winner, and completion is observed
   /// through the lanes_remaining_/done_cv_ protocol (also under mu_).
   std::atomic<size_t> cursor_{0};

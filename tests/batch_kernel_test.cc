@@ -1,7 +1,10 @@
-// Parity tests for the batched sensor kernels (reader_frame.h): every batch
-// variant must reproduce the scalar ProbReadAt result to 1e-12 per element,
+// Parity tests for the batched sensor kernels (reader_frame.h): both scalar
+// batch entry points (per-element frame gather, and AoS positions against one
+// frame) must reproduce the scalar ProbReadAt result to 1e-12 per element,
 // for the cone, spherical and logistic models, including the degenerate
-// tag-at-reader geometry and out-of-range positions.
+// tag-at-reader geometry and out-of-range positions. A single frame goes
+// through the gather entry points as a one-frame table with an all-zero
+// index.
 //
 // The SIMD kernels (simd_kernels.h) carry a looser, explicitly documented
 // contract — |simd - scalar| <= 1e-9 * scalar + 1e-12 per element — because
@@ -49,6 +52,20 @@ Soa MakePositions(const Pose& reader, uint64_t seed) {
   return soa;
 }
 
+/// Evaluates n positions against one frame through the gather entry point
+/// (scalar or SIMD): a one-frame table and an all-zero index.
+void GatherOneFrame(const SensorModel& sensor, const ReaderFrame& frame,
+                    const double* xs, const double* ys, const double* zs,
+                    size_t n, double* out, bool simd = false) {
+  const std::vector<uint32_t> zero_idx(n, 0);
+  if (simd) {
+    sensor.ProbReadBatchGatherSimd(&frame, zero_idx.data(), xs, ys, zs, n,
+                                   out);
+  } else {
+    sensor.ProbReadBatchGather(&frame, zero_idx.data(), xs, ys, zs, n, out);
+  }
+}
+
 void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   const Pose reader({0.7, -1.2, 0.3}, 0.9);
   const Soa soa = MakePositions(reader, seed);
@@ -56,8 +73,8 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   const ReaderFrame frame = ReaderFrame::From(reader);
 
   std::vector<double> out(n, -1.0);
-  sensor.ProbReadBatch(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                       out.data());
+  GatherOneFrame(sensor, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(),
+                 n, out.data());
   std::vector<Vec3> positions(n);
   for (size_t k = 0; k < n; ++k) {
     positions[k] = {soa.xs[k], soa.ys[k], soa.zs[k]};
@@ -67,7 +84,7 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
 
   for (size_t k = 0; k < n; ++k) {
     const double scalar = sensor.ProbReadAt(reader, positions[k]);
-    EXPECT_NEAR(out[k], scalar, kTol) << "SoA batch, element " << k;
+    EXPECT_NEAR(out[k], scalar, kTol) << "one-frame gather, element " << k;
     EXPECT_NEAR(out_aos[k], scalar, kTol) << "AoS batch, element " << k;
   }
 }
@@ -136,9 +153,9 @@ TEST(BatchKernelTest, BaseClassDefaultMatchesScalar) {
   ExpectGatherMatchesScalar(PlainModel(), 502);
 }
 
-/// SIMD-vs-scalar parity sweep: random positions at every remainder-lane
-/// count (n % 4 in {0,1,2,3}), plus a large batch and the degenerate
-/// tag-at-reader geometry.
+/// SIMD-vs-scalar parity sweep against one frame: random positions at every
+/// remainder-lane count (n % 4 in {0,1,2,3}), plus a large batch and the
+/// degenerate tag-at-reader geometry.
 void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   const Pose reader({0.7, -1.2, 0.3}, 0.9);
   const ReaderFrame frame = ReaderFrame::From(reader);
@@ -158,8 +175,8 @@ void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
     soa.zs.push_back(reader.position.z);
 
     std::vector<double> out(n, -1.0);
-    sensor.ProbReadBatchSimd(frame, soa.xs.data(), soa.ys.data(),
-                             soa.zs.data(), n, out.data());
+    GatherOneFrame(sensor, frame, soa.xs.data(), soa.ys.data(),
+                   soa.zs.data(), n, out.data(), /*simd=*/true);
     for (size_t k = 0; k < n; ++k) {
       const double scalar = sensor.ProbReadAt(
           reader, {soa.xs[k], soa.ys[k], soa.zs[k]});
@@ -169,9 +186,8 @@ void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   }
 }
 
-/// Same sweep for the index-gather SIMD variant (per-element frames, the
-/// factored filter's default SIMD path), including run-shaped attachment
-/// patterns and every remainder-lane count.
+/// Same sweep with per-element frames (the factored filter's SIMD path) at
+/// every remainder-lane count.
 void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
                              Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
@@ -201,60 +217,14 @@ void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   }
 }
 
-/// And the run-contiguous SIMD variant against the same scalar reference.
-void ExpectRunsSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
-                             Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
-  std::vector<ReaderFrame> frames;
-  for (const Pose& p : poses) frames.push_back(ReaderFrame::From(p));
-  Rng rng(seed);
-  // Run lengths exercise empty runs and every n % 4 shape.
-  const std::vector<uint32_t> lengths = {0, 1, 2, 3, 4, 5, 9, 0, 30};
-  std::vector<uint32_t> offsets = {0};
-  Soa soa;
-  std::vector<uint32_t> owner;
-  for (size_t j = 0; j < lengths.size(); ++j) {
-    for (uint32_t i = 0; i < lengths[j]; ++i) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-      owner.push_back(static_cast<uint32_t>(j % poses.size()));
-    }
-    offsets.push_back(static_cast<uint32_t>(soa.xs.size()));
-  }
-  // Frames list parallel to runs: frame of run j is frames[j % 4].
-  std::vector<ReaderFrame> run_frames;
-  for (size_t j = 0; j < lengths.size(); ++j) {
-    run_frames.push_back(frames[j % poses.size()]);
-  }
-  const size_t n = soa.xs.size();
-  std::vector<double> out(n, -1.0);
-  sensor.ProbReadBatchRunsSimd(run_frames.data(), offsets.data(),
-                               run_frames.size(), soa.xs.data(), soa.ys.data(),
-                               soa.zs.data(), out.data());
-  std::vector<double> out_scalar(n, -2.0);
-  sensor.ProbReadBatchRuns(run_frames.data(), offsets.data(),
-                           run_frames.size(), soa.xs.data(), soa.ys.data(),
-                           soa.zs.data(), out_scalar.data());
-  for (size_t k = 0; k < n; ++k) {
-    const double scalar = sensor.ProbReadAt(
-        poses[owner[k]], {soa.xs[k], soa.ys[k], soa.zs[k]});
-    EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-        << "runs-simd element " << k;
-    EXPECT_NEAR(out_scalar[k], scalar, kTol) << "runs-scalar element " << k;
-  }
-}
-
 TEST(BatchKernelTest, SimdConeMatchesScalar) {
   ExpectSimdMatchesScalar(ConeSensorModel(), 601);
   ExpectGatherSimdMatchesScalar(ConeSensorModel(), 611);
-  ExpectRunsSimdMatchesScalar(ConeSensorModel(), 621);
 }
 
 TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
   ExpectSimdMatchesScalar(SphericalSensorModel(), 602);
   ExpectGatherSimdMatchesScalar(SphericalSensorModel(), 612);
-  ExpectRunsSimdMatchesScalar(SphericalSensorModel(), 622);
   for (double timeout : {250.0, 500.0, 750.0}) {
     ExpectSimdMatchesScalar(SphericalSensorModel::ForTimeoutMs(timeout), 603);
   }
@@ -263,12 +233,11 @@ TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
 TEST(BatchKernelTest, SimdLogisticMatchesScalar) {
   ExpectSimdMatchesScalar(LogisticSensorModel(), 604);
   ExpectGatherSimdMatchesScalar(LogisticSensorModel(), 614);
-  ExpectRunsSimdMatchesScalar(LogisticSensorModel(), 624);
 }
 
 TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
-  // A model without a vector kernel routes ProbReadBatchSimd through the
-  // scalar batch path — exact parity, not just 1e-9.
+  // A model without a vector kernel routes ProbReadBatchGatherSimd through
+  // the scalar gather path — exact parity, not just 1e-9.
   class PlainModel final : public SensorModel {
    public:
     double ProbRead(double distance, double angle) const override {
@@ -285,10 +254,10 @@ TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
   const Soa soa = MakePositions(reader, 605);
   const size_t n = soa.xs.size();
   std::vector<double> simd_out(n, -1.0), batch_out(n, -2.0);
-  plain.ProbReadBatchSimd(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(),
-                          n, simd_out.data());
-  plain.ProbReadBatch(frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                      batch_out.data());
+  GatherOneFrame(plain, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
+                 simd_out.data(), /*simd=*/true);
+  GatherOneFrame(plain, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
+                 batch_out.data());
   for (size_t k = 0; k < n; ++k) EXPECT_EQ(simd_out[k], batch_out[k]);
 }
 
@@ -309,7 +278,7 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   const double ys[] = {0.0, 0.0, 0.0, 0.0};
   const double zs[] = {0.0, 0.0, 0.0, 0.0};
   double out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 4, out);
+  GatherOneFrame(sensor, frame, xs, ys, zs, 4, out);
   EXPECT_GT(out[0], 0.0);  // Just inside: true (tiny) probability.
   EXPECT_EQ(out[1], 0.0);  // At and beyond: exactly zero.
   EXPECT_EQ(out[2], 0.0);
@@ -322,7 +291,7 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   EXPECT_EQ(1.0 - sensor.ProbRead(cutoff, 0.0), 1.0);
 
   double simd_out[4] = {-1, -1, -1, -1};
-  sensor.ProbReadBatchSimd(frame, xs, ys, zs, 4, simd_out);
+  GatherOneFrame(sensor, frame, xs, ys, zs, 4, simd_out, /*simd=*/true);
   EXPECT_GT(simd_out[0], 0.0);
   EXPECT_EQ(simd_out[1], 0.0);
   EXPECT_EQ(simd_out[2], 0.0);
@@ -347,7 +316,7 @@ TEST(BatchKernelTest, LogisticUpturnedFitNeverShortCircuits) {
   const double ys[] = {0.0};
   const double zs[] = {0.0};
   double out[1] = {-1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 1, out);
+  GatherOneFrame(sensor, frame, xs, ys, zs, 1, out);
   EXPECT_NEAR(out[0], sensor.ProbRead(50.0, 0.0), kTol);
 }
 
@@ -362,7 +331,7 @@ TEST(BatchKernelTest, ConeZeroBeyondMaxRangeExactly) {
   const double ys[] = {0.0, 0.0, 100.0};
   const double zs[] = {0.0, 0.0, 0.0};
   double out[3] = {-1, -1, -1};
-  sensor.ProbReadBatch(frame, xs, ys, zs, 3, out);
+  GatherOneFrame(sensor, frame, xs, ys, zs, 3, out);
   for (double p : out) EXPECT_EQ(p, 0.0);
 }
 
@@ -384,7 +353,8 @@ Vec3 OffsetAtCos(double target, double dist, double dz) {
   return {dx, dy, dz};
 }
 
-/// Every scalar batch shape (SoA, AoS, Gather, Runs) must return exactly
+/// Both scalar batch entry points — Gather (per-element frames, and one frame
+/// with an all-zero index) and AoS positions — must return exactly
 /// ProbReadAt at positions built on and around the wedge edges, where the
 /// cone kernel's bearing pre-test decides without an acos.
 void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
@@ -461,32 +431,28 @@ void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
   std::vector<ReaderFrame> frames;
   for (const Pose& pose : poses) frames.push_back(ReaderFrame::From(pose));
 
-  std::vector<double> out_soa(n, -1.0), out_aos(n, -1.0);
+  std::vector<double> out_one(n, -1.0), out_aos(n, -1.0);
   for (size_t j = 0; j < poses.size(); ++j) {
     const uint32_t begin = offsets_by_frame[j];
     const size_t count = offsets_by_frame[j + 1] - begin;
-    sensor.ProbReadBatch(frames[j], soa.xs.data() + begin,
-                         soa.ys.data() + begin, soa.zs.data() + begin, count,
-                         out_soa.data() + begin);
+    GatherOneFrame(sensor, frames[j], soa.xs.data() + begin,
+                   soa.ys.data() + begin, soa.zs.data() + begin, count,
+                   out_one.data() + begin);
     sensor.ProbReadBatchPositions(frames[j], positions.data() + begin, count,
                                   out_aos.data() + begin);
   }
-  std::vector<double> out_gather(n, -1.0), out_runs(n, -1.0);
+  std::vector<double> out_gather(n, -1.0);
   sensor.ProbReadBatchGather(frames.data(), frame_idx.data(), soa.xs.data(),
                              soa.ys.data(), soa.zs.data(), n,
                              out_gather.data());
-  sensor.ProbReadBatchRuns(frames.data(), offsets_by_frame.data(),
-                           frames.size(), soa.xs.data(), soa.ys.data(),
-                           soa.zs.data(), out_runs.data());
 
   size_t in_minor_wedge = 0;
   for (size_t k = 0; k < n; ++k) {
     const double scalar = sensor.ProbReadAt(poses[frame_idx[k]], positions[k]);
     in_minor_wedge += scalar > 0.0 && scalar < p.major_read_rate;
-    EXPECT_EQ(out_soa[k], scalar) << "SoA, element " << k;
+    EXPECT_EQ(out_one[k], scalar) << "one-frame gather, element " << k;
     EXPECT_EQ(out_aos[k], scalar) << "AoS, element " << k;
     EXPECT_EQ(out_gather[k], scalar) << "Gather, element " << k;
-    EXPECT_EQ(out_runs[k], scalar) << "Runs, element " << k;
   }
   EXPECT_GT(in_minor_wedge, 0u);
 }

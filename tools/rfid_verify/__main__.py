@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""rfid-verify: call-graph-aware semantic linter for determinism, RNG-stream
-and serialization invariants.
+"""rfid-verify: the repo's linter for determinism, RNG-stream, locking and
+serialization invariants, in two modes.
 
-Where tools/lint_invariants.py matches file-local regexes, rfid-verify
-parses every first-party translation unit (enumerated from the build's
-compile_commands.json), builds a project-wide call graph, and enforces the
-repo's hardest invariants *by reachability*:
+--fast runs the sub-second, file-local comment-hygiene checks (fast.py):
+SAFETY justifications on thread-safety escapes, and the NOLINT and
+RFID_VERIFY_ALLOW reason formats. It needs no build.
+
+The full mode parses every first-party translation unit (enumerated from
+the build's compile_commands.json), builds a project-wide call graph, and
+enforces the repo's hardest invariants *by reachability*:
 
   rng-discipline  every Rng construction/seed must flow from the
                   SlotStreamSeed/SlotStreamSeedAt/SplitMix64 chain; bare
@@ -54,6 +57,7 @@ sys.path.insert(0, str(TOOL_DIR))
 
 import checks as checks_mod  # noqa: E402
 import config  # noqa: E402
+import fast as fast_mod  # noqa: E402
 import graph as graph_mod  # noqa: E402
 import lexer  # noqa: E402
 import parse as parse_mod  # noqa: E402
@@ -108,6 +112,23 @@ def cache_key(paths: list, argv_salt: str) -> str:
     return h.hexdigest()
 
 
+def run_fast(paths: list, t0: float) -> int:
+    violations, escapes = fast_mod.run(paths)
+    for v in sorted(violations, key=lambda v: (v.path, v.line, v.check)):
+        print(v.render(repo_rel))
+    print(f"rfid-verify --fast: {len(paths)} files, {escapes} justified "
+          f"thread-safety escapes, {len(violations)} violations "
+          f"({time.monotonic() - t0:.2f}s)")
+    return 1 if violations else 0
+
+
+def repo_rel(p) -> str:
+    try:
+        return str(Path(p).relative_to(REPO))
+    except ValueError:
+        return str(p)
+
+
 def parse_kv_counts(specs, what: str) -> dict:
     out = {}
     for spec in specs:
@@ -130,6 +151,10 @@ def main() -> int:
     ap.add_argument("--src-root", default="src")
     ap.add_argument("--file", nargs="*", default=None,
                     help="analyze exactly these files (negative-corpus mode)")
+    ap.add_argument("--fast", action="store_true",
+                    help="only the file-local comment-hygiene checks "
+                         f"({', '.join(fast_mod.FAST_CHECKS)}); needs no "
+                         "compile_commands.json")
     ap.add_argument("--cache-dir", default=".rfid-verify-cache")
     ap.add_argument("--no-cache", action="store_true")
     ap.add_argument("--checks", default=",".join(config.CHECKS))
@@ -158,12 +183,23 @@ def main() -> int:
         if missing:
             print(f"missing files: {missing}", file=sys.stderr)
             return 2
+    elif args.fast:
+        src_root = (REPO / args.src_root).resolve()
+        paths = sorted(p for p in src_root.rglob("*")
+                       if p.suffix in (".h", ".cc", ".cpp", ".hpp")
+                       and p.is_file())
+        if not paths:
+            print("rfid-verify: no sources found", file=sys.stderr)
+            return 2
     else:
         paths = collect_sources((REPO / args.build_dir).resolve(),
                                 (REPO / args.src_root).resolve())
         if not paths:
             print("rfid-verify: no sources found", file=sys.stderr)
             return 2
+
+    if args.fast:
+        return run_fast(paths, t0)
 
     argv_salt = f"{sorted(caps.items())}|{active_checks}|{sorted(expects.items())}"
     cache_dir = REPO / args.cache_dir
@@ -176,12 +212,6 @@ def main() -> int:
                   f"clean run (cache hit, "
                   f"{time.monotonic() - t0:.2f}s)")
             return 0
-
-    def repo_rel(p) -> str:
-        try:
-            return str(Path(p).relative_to(REPO))
-        except ValueError:
-            return str(p)
 
     file_models = []
     for p in paths:
