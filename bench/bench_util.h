@@ -12,12 +12,12 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "core/experiment.h"
 #include "model/cone_sensor.h"
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace rfid {
 namespace bench {
@@ -65,7 +65,7 @@ inline EngineConfig DefaultEngineConfig(uint64_t seed = 71) {
   return c;
 }
 
-/// Machine-readable bench output: a flat JSON document with one object per
+/// Machine-readable bench output: a JSON document with one object per
 /// measured configuration, written next to the working directory as
 /// BENCH_<name>.json so successive PRs can diff the perf trajectory.
 ///
@@ -77,50 +77,38 @@ inline EngineConfig DefaultEngineConfig(uint64_t seed = 71) {
 ///   json.WriteFile("BENCH_throughput.json");
 class BenchJson {
  public:
-  explicit BenchJson(std::string name) : name_(std::move(name)) {}
+  explicit BenchJson(const std::string& name) {
+    writer_.BeginObject().Key("bench").String(name).Key("rows").BeginArray();
+  }
 
-  void BeginRow() { rows_.emplace_back(); }
+  void BeginRow() {
+    if (row_open_) writer_.EndObject();
+    writer_.BeginObject();
+    row_open_ = true;
+  }
 
-  void Add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    AddRaw(key, buf);
-  }
-  void Add(const std::string& key, int value) {
-    AddRaw(key, std::to_string(value));
-  }
-  void Add(const std::string& key, size_t value) {
-    AddRaw(key, std::to_string(value));
-  }
-  void Add(const std::string& key, const std::string& value) {
-    AddRaw(key, "\"" + Escaped(value) + "\"");
-  }
-  void Add(const std::string& key, const char* value) {
-    Add(key, std::string(value));
+  void Add(const std::string& key, double value) { Field(key).Double(value); }
+  void Add(const std::string& key, int value) { Field(key).Int(value); }
+  void Add(const std::string& key, size_t value) { Field(key).Uint(value); }
+  void Add(const std::string& key, std::string_view value) {
+    Field(key).String(value);
   }
 
   /// Serializes {"bench": name, "rows": [...]}; returns false on IO failure.
   bool WriteFile(const std::string& path) const {
+    json::Writer doc = writer_;
+    if (row_open_) doc.EndObject();
+    doc.EndArray().EndObject();
     std::ofstream os(path);
     if (!os) return false;
-    os << "{\n  \"bench\": \"" << Escaped(name_) << "\",\n  \"rows\": [\n";
-    for (size_t r = 0; r < rows_.size(); ++r) {
-      os << "    {";
-      for (size_t f = 0; f < rows_[r].size(); ++f) {
-        if (f > 0) os << ", ";
-        os << "\"" << Escaped(rows_[r][f].first)
-           << "\": " << rows_[r][f].second;
-      }
-      os << "}" << (r + 1 < rows_.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    os << doc.str() << "\n";
     return os.good();
   }
 
-  /// Adds a preformatted table cell, emitted as a bare number when the
-  /// whole cell is a valid *JSON* number (TableWriter cells are already
-  /// formatted strings). strtod alone is not enough: it also accepts
-  /// "nan"/"inf" and hex floats, which would corrupt the JSON document.
+  /// Adds a preformatted table cell, emitted as a number when the whole
+  /// cell is a decimal number (TableWriter cells are already formatted
+  /// strings). strtod alone is not enough: it also accepts "nan"/"inf" and
+  /// hex floats, which stay strings.
   void AddCell(const std::string& key, const std::string& cell) {
     char* end = nullptr;
     const double value = std::strtod(cell.c_str(), &end);
@@ -129,30 +117,20 @@ class BenchJson {
         fully_parsed && std::isfinite(value) && cell[0] != '+' &&
         cell.find_first_not_of("0123456789+-.eE") == std::string::npos;
     if (json_shaped) {
-      AddRaw(key, cell);
+      Add(key, value);
     } else {
       Add(key, cell);
     }
   }
 
  private:
-  void AddRaw(const std::string& key, std::string rendered) {
-    if (rows_.empty()) BeginRow();
-    rows_.back().emplace_back(key, std::move(rendered));
+  json::Writer& Field(const std::string& key) {
+    if (!row_open_) BeginRow();
+    return writer_.Key(key);
   }
 
-  static std::string Escaped(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
-  }
-
-  std::string name_;
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
+  json::Writer writer_;  // the document so far, the last row left open
+  bool row_open_ = false;
 };
 
 /// Appends every row of `table` to `json`, one JSON row per table row with

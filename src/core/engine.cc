@@ -1,20 +1,17 @@
 #include "core/engine.h"
 
-#include <cstdio>
 #include <iterator>
 
 namespace rfid {
 
-std::string EngineStats::ToJson() const {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"epochs_processed\": %zu, \"readings_processed\": %zu, "
-      "\"events_emitted\": %zu, \"processing_seconds\": %.17g, "
-      "\"readings_per_sec\": %.17g, \"epochs_per_sec\": %.17g}",
-      epochs_processed, readings_processed, events_emitted,
-      processing_seconds, ReadingsPerSecond(), EpochsPerSecond());
-  return buf;
+void EngineStats::ToJson(json::Writer* w) const {
+  w->BeginObject().Key("epochs_processed").Uint(epochs_processed);
+  w->Key("readings_processed").Uint(readings_processed);
+  w->Key("events_emitted").Uint(events_emitted);
+  w->Key("processing_seconds").Double(processing_seconds);
+  w->Key("readings_per_sec").Double(ReadingsPerSecond());
+  w->Key("epochs_per_sec").Double(EpochsPerSecond());
+  w->EndObject();
 }
 
 namespace {

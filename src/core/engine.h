@@ -23,6 +23,7 @@
 #include "pf/basic_filter.h"
 #include "pf/factored_filter.h"
 #include "stream/emitter.h"
+#include "util/json.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
@@ -62,9 +63,9 @@ struct EngineStats {
                : 0.0;
   }
 
-  /// Flat JSON object of the counters plus derived rates, for per-shard
-  /// stats export by the serving layer.
-  std::string ToJson() const;
+  /// Writes a flat JSON object of the counters plus derived rates, for
+  /// per-shard stats export by the serving layer.
+  void ToJson(json::Writer* w) const;
 };
 
 /// Wall-clock split of the most recent ProcessEpoch (telemetry for the

@@ -1,25 +1,27 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace rfid {
 namespace obs {
 
 namespace {
 
-void AppendTimingsJson(std::string* out, const EpochStageTimings& t) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"step\":%llu,\"epoch_time\":%.6f,\"total\":%.9f,"
-      "\"synchronize\":%.9f,\"weight\":%.9f,\"init\":%.9f,"
-      "\"resample\":%.9f,\"remap\":%.9f,\"compress\":%.9f,\"emit\":%.9f,"
-      "\"dispatch\":%.9f,\"readings\":%u,\"events\":%u}",
-      static_cast<unsigned long long>(t.step), t.epoch_time, t.total,
-      t.synchronize, t.weight, t.init, t.resample, t.remap, t.compress,
-      t.emit, t.dispatch, t.readings, t.events);
-  *out += buf;
+void AppendTimingsJson(json::Writer* w, const EpochStageTimings& t) {
+  w->BeginObject().Key("step").Uint(t.step);
+  w->Key("epoch_time").Double(t.epoch_time);
+  w->Key("total").Double(t.total);
+  w->Key("synchronize").Double(t.synchronize);
+  w->Key("weight").Double(t.weight);
+  w->Key("init").Double(t.init);
+  w->Key("resample").Double(t.resample);
+  w->Key("remap").Double(t.remap);
+  w->Key("compress").Double(t.compress);
+  w->Key("emit").Double(t.emit);
+  w->Key("dispatch").Double(t.dispatch);
+  w->Key("readings").Uint(t.readings);
+  w->Key("events").Uint(t.events);
+  w->EndObject();
 }
 
 }  // namespace
@@ -71,40 +73,21 @@ std::vector<EpochStageTimings> FlightRecorder::RecentEpochs() const {
   return out;
 }
 
-std::string FlightRecorder::ToJson() const {
-  char buf[128];
-  std::string out = "{";
-  std::snprintf(buf, sizeof(buf), "\"ewma_seconds\":%.9f,\"epochs\":%llu,",
-                ewma_, static_cast<unsigned long long>(epochs_recorded_));
-  out += buf;
-  out += "\"recent\":[";
-  bool first = true;
-  for (const EpochStageTimings& t : RecentEpochs()) {
-    if (!first) out += ',';
-    first = false;
-    AppendTimingsJson(&out, t);
-  }
-  out += "],\"diagnostics\":[";
-  first = true;
+void FlightRecorder::ToJson(json::Writer* w) const {
+  w->BeginObject().Key("ewma_seconds").Double(ewma_);
+  w->Key("epochs").Uint(epochs_recorded_);
+  w->Key("recent").BeginArray();
+  for (const EpochStageTimings& t : RecentEpochs()) AppendTimingsJson(w, t);
+  w->EndArray().Key("diagnostics").BeginArray();
   for (const FlightDiagnostic& diag : diagnostics_) {
-    if (!first) out += ',';
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"sequence\":%llu,\"trigger\":\"%s\","
-                  "\"ewma_at_capture\":%.9f,\"recent\":[",
-                  static_cast<unsigned long long>(diag.sequence),
-                  diag.trigger.c_str(), diag.ewma_at_capture);
-    out += buf;
-    bool inner_first = true;
-    for (const EpochStageTimings& t : diag.recent) {
-      if (!inner_first) out += ',';
-      inner_first = false;
-      AppendTimingsJson(&out, t);
-    }
-    out += "]}";
+    w->BeginObject().Key("sequence").Uint(diag.sequence);
+    w->Key("trigger").String(diag.trigger);
+    w->Key("ewma_at_capture").Double(diag.ewma_at_capture);
+    w->Key("recent").BeginArray();
+    for (const EpochStageTimings& t : diag.recent) AppendTimingsJson(w, t);
+    w->EndArray().EndObject();
   }
-  out += "]}";
-  return out;
+  w->EndArray().EndObject();
 }
 
 }  // namespace obs

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 namespace rfid {
 namespace obs {
 
@@ -81,8 +83,9 @@ class FlightRecorder {
   /// Recent ring, oldest first.
   std::vector<EpochStageTimings> RecentEpochs() const;
 
-  /// {"ewma":..., "epochs":..., "recent":[...], "diagnostics":[...]}
-  std::string ToJson() const;
+  /// Writes {"ewma_seconds":..., "epochs":..., "recent":[...],
+  /// "diagnostics":[...]}.
+  void ToJson(json::Writer* w) const;
 
  private:
   Config config_;

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace rfid {
 namespace obs {
 
@@ -38,38 +40,6 @@ std::string FormatBound(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
-}
-
-std::string JsonQuote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 // JSON key for a (name, labels) series: `name` or `name{labels}`.
@@ -249,35 +219,30 @@ std::string MetricsRegistry::RenderPrometheus() const {
 
 std::string MetricsRegistry::RenderJson() const {
   MutexLock lock(mu_);
-  std::string counters, gauges, histograms;
-  for (const auto& kv : entries_) {
-    const std::string key = SeriesKey(kv.first.first, kv.first.second);
-    const Entry& entry = kv.second;
-    if (entry.counter) {
-      if (!counters.empty()) counters += ',';
-      counters += JsonQuote(key) + ':' +
-                  FormatValue(static_cast<double>(entry.counter->Value()));
-    }
-    if (entry.gauge) {
-      if (!gauges.empty()) gauges += ',';
-      gauges += JsonQuote(key) + ':' + FormatValue(entry.gauge->Value());
-    }
-    if (entry.histogram) {
-      const Histogram::Snapshot snap = entry.histogram->Snap();
-      if (!histograms.empty()) histograms += ',';
-      histograms += JsonQuote(key) + ":{\"count\":" +
-                    FormatValue(static_cast<double>(snap.count)) +
-                    ",\"sum_seconds\":" + FormatValue(snap.sum_seconds) +
-                    ",\"buckets\":[";
-      for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-        if (b > 0) histograms += ',';
-        histograms += FormatValue(static_cast<double>(snap.buckets[b]));
-      }
-      histograms += "]}";
-    }
+  json::Writer w;
+  w.BeginObject().Key("counters").BeginObject();
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.counter) continue;
+    w.Key(SeriesKey(key.first, key.second)).Uint(entry.counter->Value());
   }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
+  w.EndObject().Key("gauges").BeginObject();
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.gauge) continue;
+    w.Key(SeriesKey(key.first, key.second)).Double(entry.gauge->Value());
+  }
+  w.EndObject().Key("histograms").BeginObject();
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.histogram) continue;
+    const Histogram::Snapshot snap = entry.histogram->Snap();
+    w.Key(SeriesKey(key.first, key.second)).BeginObject();
+    w.Key("count").Uint(snap.count);
+    w.Key("sum_seconds").Double(snap.sum_seconds);
+    w.Key("buckets").BeginArray();
+    for (uint64_t bucket : snap.buckets) w.Uint(bucket);
+    w.EndArray().EndObject();
+  }
+  w.EndObject().EndObject();
+  return w.str();
 }
 
 }  // namespace obs

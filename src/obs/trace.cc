@@ -1,7 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace rfid {
 namespace obs {
@@ -9,17 +10,6 @@ namespace obs {
 namespace {
 
 std::atomic<uint64_t> g_next_trace_tid{1};
-
-std::string EscapeName(const char* s) {
-  // Span names are literals chosen by this codebase; escape defensively
-  // anyway so a stray quote can't break the JSON.
-  std::string out;
-  for (const char* p = s; *p; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -62,9 +52,8 @@ void Tracer::Record(const char* name, const char* category, uint64_t start_ns,
 
 std::string Tracer::DumpChromeJson() const {
   MutexLock lock(rings_mu_);
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[256];
+  json::Writer w;
+  w.BeginObject().Key("traceEvents").BeginArray();
   for (const auto& ring : rings_) {
     const uint64_t head = ring->head.load(std::memory_order_relaxed);
     const uint64_t capacity = ring->events.size();
@@ -72,30 +61,24 @@ std::string Tracer::DumpChromeJson() const {
     const uint64_t begin = head - count;
     for (uint64_t i = begin; i < head; ++i) {
       const TraceEvent& ev = ring->events[i % capacity];
-      if (!first) out += ',';
-      first = false;
+      w.BeginObject().Key("name").String(ev.name);
+      w.Key("cat").String(ev.category);
+      w.Key("ph").String("X");
       // Chrome trace timestamps are microseconds; keep sub-µs precision
       // with fractional values.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                    "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%llu",
-                    EscapeName(ev.name).c_str(),
-                    EscapeName(ev.category).c_str(),
-                    static_cast<double>(ev.start_ns) / 1e3,
-                    static_cast<double>(ev.dur_ns) / 1e3,
-                    static_cast<unsigned long long>(ev.tid));
-      out += buf;
+      w.Key("ts").Double(static_cast<double>(ev.start_ns) / 1e3);
+      w.Key("dur").Double(static_cast<double>(ev.dur_ns) / 1e3);
+      w.Key("pid").Int(1);
+      w.Key("tid").Uint(ev.tid);
       if (ev.arg_name != nullptr) {
-        std::snprintf(buf, sizeof(buf), ",\"args\":{\"%s\":%llu}",
-                      EscapeName(ev.arg_name).c_str(),
-                      static_cast<unsigned long long>(ev.arg));
-        out += buf;
+        w.Key("args").BeginObject().Key(ev.arg_name).Uint(ev.arg);
+        w.EndObject();
       }
-      out += '}';
+      w.EndObject();
     }
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.str();
 }
 
 void Tracer::Clear() {

@@ -60,18 +60,16 @@ Status Truncated() { return Status::IOError("truncated snapshot"); }
 
 }  // namespace
 
-namespace snapshot_internal {
-
-Status SaveSnapshotImpl(const FactoredParticleFilter& filter,
-                        std::ostream& sink, uint32_t version) {
+Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
+                          std::ostream& sink) {
   // The on-disk format has no notion of a pending reader remap: replay any
   // deferred ones so the persisted attachments are fully remapped (a
   // restored filter then starts with an empty remap history).
   filter.SyncAllReaderAttachments();
-  // The belief payload — everything after the magic+version header. Its
-  // layout has been stable since v3; v4 only changes how it is framed on
-  // disk. A lambda so it writes with this function's friend access.
-  const auto write_body = [&filter](std::ostream& os) {
+  // The belief payload — everything after the magic+version header — goes
+  // into a CRC frame: the loader verifies the checksum before parsing a
+  // single field.
+  std::ostringstream os;
   WritePod(os, filter.step_);
   WritePod(os, static_cast<uint8_t>(filter.readers_initialized_ ? 1 : 0));
 
@@ -119,34 +117,13 @@ Status SaveSnapshotImpl(const FactoredParticleFilter& filter,
   WritePod(os, rng_state.cached_gaussian);
   WritePod(os, static_cast<uint8_t>(rng_state.cached_gaussian_valid ? 1 : 0));
   WritePod(os, filter.particle_updates_.load(std::memory_order_relaxed));
-  };  // write_body
 
+  if (!os.good()) return Status::IOError("failed serializing snapshot");
   sink.write(kMagic, sizeof(kMagic));
-  WritePod(sink, version);
-  if (version >= 4) {
-    // CRC frame around the whole payload: the loader verifies the checksum
-    // before parsing a single field.
-    std::ostringstream body;
-    write_body(body);
-    if (!body.good()) return Status::IOError("failed serializing snapshot");
-    WriteFramedSection(sink, body.str());
-  } else {
-    write_body(sink);
-  }
+  WritePod(sink, kVersion);
+  WriteFramedSection(sink, os.str());
   if (!sink.good()) return Status::IOError("failed writing snapshot");
   return Status::OK();
-}
-
-}  // namespace snapshot_internal
-
-Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
-                          std::ostream& os) {
-  return snapshot_internal::SaveSnapshotImpl(filter, os, kVersion);
-}
-
-Status SaveFilterSnapshotV3(const FactoredParticleFilter& filter,
-                            std::ostream& os) {
-  return snapshot_internal::SaveSnapshotImpl(filter, os, 3);
 }
 
 Status LoadFilterSnapshot(std::istream& source, FactoredParticleFilter* filter) {

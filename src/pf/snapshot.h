@@ -33,11 +33,6 @@ namespace rfid {
 Status SaveFilterSnapshot(const FactoredParticleFilter& filter,
                           std::ostream& os);
 
-/// Writes the legacy v3 layout (unframed payload), for downgrade paths and
-/// the cross-version compatibility tests.
-Status SaveFilterSnapshotV3(const FactoredParticleFilter& filter,
-                            std::ostream& os);
-
 /// Restores belief state into a freshly constructed filter (same model and
 /// config as the saved one). Fails on magic/version mismatch or truncation.
 Status LoadFilterSnapshot(std::istream& is, FactoredParticleFilter* filter);

@@ -4,7 +4,6 @@
 // monitoring thread can poll StatsJson() while shards keep processing.
 #pragma once
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "serve/site_pipeline.h"
 #include "serve/subscription_bus.h"
 #include "util/fault.h"
+#include "util/json.h"
 
 namespace rfid {
 
@@ -24,35 +24,6 @@ struct CheckpointStatsSnapshot {
   uint64_t fallback_loads = 0;  ///< Restores that fell back a generation.
   uint64_t skipped_parked = 0;  ///< Sites skipped because they were parked.
 };
-
-/// Minimal JSON string escaping for the few free-text fields the snapshot
-/// carries (park reasons come from exception messages).
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
-    }
-  }
-  return out;
-}
 
 struct ShardStatsSnapshot {
   int shard = 0;
@@ -129,114 +100,87 @@ struct ServerStatsSnapshot {
   }
 
   std::string ToJson() const {
-    std::string out = "{\"shards\": [";
-    for (size_t s = 0; s < shards.size(); ++s) {
-      const ShardStatsSnapshot& shard = shards[s];
-      if (s > 0) out += ", ";
-      out += "{\"shard\": " + std::to_string(shard.shard);
-      out += ", \"queue\": {\"pushed\": " + std::to_string(shard.queue.pushed);
-      out += ", \"popped\": " + std::to_string(shard.queue.popped);
-      out += ", \"blocked_pushes\": " +
-             std::to_string(shard.queue.blocked_pushes);
-      out += ", \"rejected_full\": " +
-             std::to_string(shard.queue.rejected_full);
-      out += ", \"rejected_closed\": " +
-             std::to_string(shard.queue.rejected_closed);
-      out += ", \"high_water\": " + std::to_string(shard.queue.high_water);
-      out += ", \"injected_drops\": " +
-             std::to_string(shard.queue.injected_drops);
-      out += ", \"arrival_rate_per_sec\": " +
-             (std::isfinite(shard.queue.arrival_rate_per_sec)
-                  ? std::to_string(shard.queue.arrival_rate_per_sec)
-                  : std::string("null"));
-      out += "}, \"shed\": {\"level\": " + std::to_string(shard.shed_level);
-      out += ", \"escalations\": " + std::to_string(shard.shed_escalations);
-      out += ", \"deescalations\": " +
-             std::to_string(shard.shed_deescalations);
-      out += "}, \"sites\": [";
-      for (size_t i = 0; i < shard.sites.size(); ++i) {
-        const SitePipelineStats& site = shard.sites[i];
-        if (i > 0) out += ", ";
-        out += "{\"site\": " + std::to_string(site.site);
-        out += ", \"records_processed\": " +
-               std::to_string(site.records_processed);
-        out += ", \"records_dropped_late\": " +
-               std::to_string(site.records_dropped_late);
-        out += ", \"records_shed\": " + std::to_string(site.records_shed);
-        out += ", \"events_dispatched\": " +
-               std::to_string(site.events_dispatched);
-        out += ", \"scan_completes\": " + std::to_string(site.scan_completes);
-        out += ", \"records_quarantined\": " +
-               std::to_string(site.records_quarantined);
-        out += ", \"slow_epochs\": " + std::to_string(site.slow_epochs);
-        out += ", \"dead_letter_size\": " +
-               std::to_string(site.dead_letter_size);
-        out += ", \"health\": {\"failures\": " +
-               std::to_string(site.pipeline_failures);
-        out += ", \"recoveries\": " + std::to_string(site.recoveries);
-        out += ", \"records_dropped_parked\": " +
-               std::to_string(site.records_dropped_parked);
-        out += ", \"parked\": " + std::string(site.parked ? "true" : "false");
-        out += ", \"park_reason\": \"" + JsonEscape(site.park_reason) + "\"}";
-        out += ", \"shed_level\": " + std::to_string(site.shed_level);
-        out += ", \"objects\": {\"active\": " +
-               std::to_string(site.active_objects);
-        out += ", \"compressed\": " + std::to_string(site.compressed_objects);
-        out += ", \"hibernated\": " + std::to_string(site.hibernated_objects);
-        out += ", \"memory_bytes\": " +
-               std::to_string(site.filter_memory_bytes) + "}";
-        // Before a site's first record the watermark is -infinity, which is
-        // not a JSON number.
-        out += ", \"watermark\": " +
-               (std::isfinite(site.watermark)
-                    ? std::to_string(site.watermark)
-                    : std::string("null"));
-        out += ", \"engine\": " + site.engine.ToJson();
-        out += "}";
+    json::Writer w;
+    w.BeginObject().Key("shards").BeginArray();
+    for (const ShardStatsSnapshot& shard : shards) {
+      const IngestQueueStats& q = shard.queue;
+      w.BeginObject().Key("shard").Int(shard.shard);
+      w.Key("queue").BeginObject();
+      w.Key("pushed").Uint(q.pushed);
+      w.Key("popped").Uint(q.popped);
+      w.Key("blocked_pushes").Uint(q.blocked_pushes);
+      w.Key("rejected_full").Uint(q.rejected_full);
+      w.Key("rejected_closed").Uint(q.rejected_closed);
+      w.Key("high_water").Uint(q.high_water);
+      w.Key("injected_drops").Uint(q.injected_drops);
+      w.Key("arrival_rate_per_sec").Double(q.arrival_rate_per_sec);
+      w.EndObject().Key("shed").BeginObject();
+      w.Key("level").Int(shard.shed_level);
+      w.Key("escalations").Uint(shard.shed_escalations);
+      w.Key("deescalations").Uint(shard.shed_deescalations);
+      w.EndObject().Key("sites").BeginArray();
+      for (const SitePipelineStats& site : shard.sites) {
+        w.BeginObject().Key("site").Uint(site.site);
+        w.Key("records_processed").Uint(site.records_processed);
+        w.Key("records_dropped_late").Uint(site.records_dropped_late);
+        w.Key("records_shed").Uint(site.records_shed);
+        w.Key("events_dispatched").Uint(site.events_dispatched);
+        w.Key("scan_completes").Uint(site.scan_completes);
+        w.Key("records_quarantined").Uint(site.records_quarantined);
+        w.Key("slow_epochs").Uint(site.slow_epochs);
+        w.Key("dead_letter_size").Uint(site.dead_letter_size);
+        w.Key("health").BeginObject();
+        w.Key("failures").Uint(site.pipeline_failures);
+        w.Key("recoveries").Uint(site.recoveries);
+        w.Key("records_dropped_parked").Uint(site.records_dropped_parked);
+        w.Key("parked").Bool(site.parked);
+        w.Key("park_reason").String(site.park_reason);
+        w.EndObject().Key("shed_level").Int(site.shed_level);
+        w.Key("objects").BeginObject();
+        w.Key("active").Uint(site.active_objects);
+        w.Key("compressed").Uint(site.compressed_objects);
+        w.Key("hibernated").Uint(site.hibernated_objects);
+        w.Key("memory_bytes").Uint(site.filter_memory_bytes);
+        // -infinity before a site's first record, written as null.
+        w.EndObject().Key("watermark").Double(site.watermark);
+        w.Key("engine");
+        site.engine.ToJson(&w);
+        w.EndObject();
       }
-      out += "]}";
+      w.EndArray().EndObject();
     }
-    out += "], \"operators\": [";
-    for (size_t i = 0; i < operators.size(); ++i) {
-      const BusOperatorStats& op = operators[i];
-      if (i > 0) out += ", ";
-      out += "{\"subscription\": " + std::to_string(op.subscription);
-      out += ", \"kind\": \"" + std::string(op.kind) + "\"";
-      out += ", \"site\": " + std::to_string(op.site);
-      out += ", \"entries\": " + std::to_string(op.stats.entries);
-      out += ", \"bytes_estimate\": " +
-             std::to_string(op.stats.bytes_estimate);
-      out += ", \"evicted\": " + std::to_string(op.stats.evicted);
-      out += "}";
+    w.EndArray().Key("operators").BeginArray();
+    for (const BusOperatorStats& op : operators) {
+      w.BeginObject().Key("subscription").Int(op.subscription);
+      w.Key("kind").String(op.kind);
+      w.Key("site").Uint(op.site);
+      w.Key("entries").Uint(op.stats.entries);
+      w.Key("bytes_estimate").Uint(op.stats.bytes_estimate);
+      w.Key("evicted").Uint(op.stats.evicted);
+      w.EndObject();
     }
-    out += "], \"total_operator_bytes\": " +
-           std::to_string(TotalOperatorBytes());
-    out += ", \"subscription_dispatches\": " +
-           std::to_string(subscription_dispatches);
-    out += ", \"total_records_processed\": " +
-           std::to_string(TotalRecordsProcessed());
-    out += ", \"total_dropped_late\": " + std::to_string(TotalDroppedLate());
-    out += ", \"total_records_shed\": " + std::to_string(TotalRecordsShed());
-    out += ", \"total_hibernated_objects\": " +
-           std::to_string(TotalHibernatedObjects());
-    out += ", \"total_events_dispatched\": " +
-           std::to_string(TotalEventsDispatched());
-    out += ", \"checkpoint\": {\"saved\": " + std::to_string(checkpoint.saved);
-    out += ", \"failures\": " + std::to_string(checkpoint.failures);
-    out += ", \"retries\": " + std::to_string(checkpoint.retries);
-    out += ", \"fallback_loads\": " + std::to_string(checkpoint.fallback_loads);
-    out += ", \"skipped_parked\": " +
-           std::to_string(checkpoint.skipped_parked) + "}";
-    out += ", \"faults\": [";
-    for (size_t i = 0; i < faults.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "{\"point\": \"" + std::string(FaultPointName(faults[i].point)) +
-             "\"";
-      out += ", \"hits\": " + std::to_string(faults[i].hits);
-      out += ", \"fires\": " + std::to_string(faults[i].fires) + "}";
+    w.EndArray().Key("total_operator_bytes").Uint(TotalOperatorBytes());
+    w.Key("subscription_dispatches").Uint(subscription_dispatches);
+    w.Key("total_records_processed").Uint(TotalRecordsProcessed());
+    w.Key("total_dropped_late").Uint(TotalDroppedLate());
+    w.Key("total_records_shed").Uint(TotalRecordsShed());
+    w.Key("total_hibernated_objects").Uint(TotalHibernatedObjects());
+    w.Key("total_events_dispatched").Uint(TotalEventsDispatched());
+    w.Key("checkpoint").BeginObject();
+    w.Key("saved").Uint(checkpoint.saved);
+    w.Key("failures").Uint(checkpoint.failures);
+    w.Key("retries").Uint(checkpoint.retries);
+    w.Key("fallback_loads").Uint(checkpoint.fallback_loads);
+    w.Key("skipped_parked").Uint(checkpoint.skipped_parked);
+    w.EndObject().Key("faults").BeginArray();
+    for (const FaultPointStats& fault : faults) {
+      w.BeginObject().Key("point").String(FaultPointName(fault.point));
+      w.Key("hits").Uint(fault.hits);
+      w.Key("fires").Uint(fault.fires);
+      w.EndObject();
     }
-    out += "]}";
-    return out;
+    w.EndArray().EndObject();
+    return w.str();
   }
 };
 

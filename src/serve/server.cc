@@ -7,6 +7,7 @@
 #include "serve/checkpoint.h"
 #include "serve/diagnostics.h"
 #include "util/fault.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace rfid {
@@ -579,14 +580,16 @@ Status StreamingServer::DumpDiagnostics(const std::string& dir) {
   RFID_RETURN_NOT_OK(
       write_file(dir + "/trace.json", obs::Tracer::Default().DumpChromeJson()));
   RFID_RETURN_NOT_OK(write_file(dir + "/stats.json", StatsLocked().ToJson()));
-  std::string flight = "{\"sites\": [";
-  for (size_t i = 0; i < pipelines_.size(); ++i) {
-    if (i > 0) flight += ", ";
-    flight += "{\"site\": " + std::to_string(pipelines_[i]->site()) +
-              ", \"flight\": " + pipelines_[i]->flight().ToJson() + "}";
+  json::Writer flight;
+  flight.BeginObject().Key("sites").BeginArray();
+  for (const auto& pipeline : pipelines_) {
+    flight.BeginObject().Key("site").Uint(pipeline->site());
+    flight.Key("flight");
+    pipeline->flight().ToJson(&flight);
+    flight.EndObject();
   }
-  flight += "]}";
-  RFID_RETURN_NOT_OK(write_file(dir + "/flight.json", flight));
+  flight.EndArray().EndObject();
+  RFID_RETURN_NOT_OK(write_file(dir + "/flight.json", flight.str()));
   for (const auto& pipeline : pipelines_) {
     const std::deque<DeadLetterEntry>& dead = pipeline->DeadLetters();
     if (dead.empty()) continue;

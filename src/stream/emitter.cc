@@ -7,7 +7,8 @@
 
 namespace rfid {
 
-using serialize::kMaxCount;
+using serialize::BytesRemaining;
+using serialize::CountFits;
 using serialize::ReadPod;
 using serialize::WritePod;
 
@@ -144,10 +145,15 @@ void EventEmitter::SaveState(std::ostream& os) const {
 }
 
 Status EventEmitter::LoadState(std::istream& is) {
+  // Counts are checked against the bytes left before anything is sized
+  // from them; a scope is at least 22 bytes, a work-list entry 4.
+  constexpr uint64_t kScopeBytes =
+      sizeof(TagId) + sizeof(double) + sizeof(int64_t) + 2 * sizeof(uint8_t);
+  const uint64_t remaining = BytesRemaining(is);
   int64_t epoch_counter = 0;
   uint64_t scope_count = 0;
   if (!ReadPod(is, &epoch_counter) || !ReadPod(is, &scope_count) ||
-      scope_count > kMaxCount) {
+      !CountFits(scope_count, kScopeBytes, remaining)) {
     return Status::IOError("truncated emitter state");
   }
   std::unordered_map<TagId, TagScope> scopes;
@@ -166,7 +172,8 @@ Status EventEmitter::LoadState(std::istream& is) {
     scopes[tag] = scope;
   }
   uint64_t pending_count = 0;
-  if (!ReadPod(is, &pending_count) || pending_count > kMaxCount) {
+  if (!ReadPod(is, &pending_count) ||
+      !CountFits(pending_count, sizeof(TagId), remaining)) {
     return Status::IOError("truncated emitter state");
   }
   std::vector<TagId> pending(pending_count);

@@ -8,7 +8,8 @@
 
 namespace rfid {
 
-using serialize::kMaxCount;
+using serialize::BytesRemaining;
+using serialize::CountFits;
 using serialize::ReadPod;
 using serialize::WritePod;
 
@@ -372,6 +373,11 @@ void StreamSynchronizer::SaveState(std::ostream& os) const {
 }
 
 Status StreamSynchronizer::LoadState(std::istream& is) {
+  // Counts are checked against the bytes left before anything is sized
+  // from them; a pending epoch is at least 64 bytes, a tag 4.
+  constexpr uint64_t kPendingMinBytes = sizeof(int64_t) + sizeof(uint64_t) +
+                                        5 * sizeof(double) + 2 * sizeof(int);
+  const uint64_t remaining = BytesRemaining(is);
   uint8_t any_seen = 0, any_closed = 0;
   double max_seen = 0.0;
   int64_t highest_closed = 0;
@@ -379,14 +385,15 @@ Status StreamSynchronizer::LoadState(std::istream& is) {
   if (!ReadPod(is, &any_seen) || !ReadPod(is, &max_seen) ||
       !ReadPod(is, &any_closed) || !ReadPod(is, &highest_closed) ||
       !ReadPod(is, &dropped) || !ReadPod(is, &skipped) ||
-      !ReadPod(is, &pending_count) || pending_count > kMaxCount) {
+      !ReadPod(is, &pending_count) ||
+      !CountFits(pending_count, kPendingMinBytes, remaining)) {
     return Status::IOError("truncated synchronizer state");
   }
   std::vector<PendingEpoch> pending(pending_count);
   for (auto& p : pending) {
     uint64_t tag_count = 0;
     if (!ReadPod(is, &p.index) || !ReadPod(is, &tag_count) ||
-        tag_count > kMaxCount) {
+        !CountFits(tag_count, sizeof(TagId), remaining)) {
       return Status::IOError("truncated synchronizer state");
     }
     p.tags.resize(tag_count);

@@ -23,6 +23,8 @@
 
 #include "pf/snapshot.h"
 #include "serve/diagnostics.h"
+#include "stream/emitter.h"
+#include "stream/synchronizer.h"
 #include "test_util.h"
 #include "util/serialize.h"
 
@@ -214,6 +216,66 @@ TEST(ParserBoundsTest, SpillWithFourGibReasonLength) {
 
 TEST(ParserBoundsTest, SpillClaimingHundredMillionEntries) {
   ExpectSpillRejectedCheaply(Spill(serialize::kMaxCount, 6), "spill_count");
+}
+
+/// Emitter state header claiming `scope_count` tag scopes; none follow.
+std::string EmitterStateClaiming(uint64_t scope_count) {
+  std::ostringstream os;
+  WritePod(os, int64_t{3});  // epoch counter
+  WritePod(os, scope_count);
+  return os.str();
+}
+
+TEST(ParserBoundsTest, EmitterStateClaimingHundredMillionScopes) {
+  const std::string blob = EmitterStateClaiming(serialize::kMaxCount);
+  ASSERT_EQ(blob.size(), 16u);
+  EventEmitter emitter(EmitterConfig{});
+  Status status;
+  std::istringstream is(blob);
+  const size_t largest =
+      LargestRequestDuring([&] { status = emitter.LoadState(is); });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  EXPECT_LE(largest, kMaxRequestBytes);
+}
+
+/// Synchronizer state header claiming `pending_count` open epochs; none
+/// follow.
+std::string SynchronizerStateClaiming(uint64_t pending_count) {
+  std::ostringstream os;
+  WritePod(os, uint8_t{1});    // any seen
+  WritePod(os, 12.5);          // max seen time
+  WritePod(os, uint8_t{1});    // any closed
+  WritePod(os, int64_t{11});   // highest closed epoch
+  WritePod(os, uint64_t{0});   // dropped late records
+  WritePod(os, uint64_t{0});   // skipped gap epochs
+  WritePod(os, pending_count);
+  return os.str();
+}
+
+void ExpectSynchronizerStateRejectedCheaply(const std::string& blob) {
+  StreamSynchronizer synchronizer;
+  Status status;
+  std::istringstream is(blob);
+  const size_t largest =
+      LargestRequestDuring([&] { status = synchronizer.LoadState(is); });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+  EXPECT_LE(largest, kMaxRequestBytes);
+}
+
+TEST(ParserBoundsTest, SynchronizerStateClaimingHundredMillionEpochs) {
+  const std::string blob = SynchronizerStateClaiming(serialize::kMaxCount);
+  ASSERT_EQ(blob.size(), 42u);
+  ExpectSynchronizerStateRejectedCheaply(blob);
+}
+
+TEST(ParserBoundsTest, SynchronizerEpochClaimingHundredMillionTags) {
+  std::ostringstream os;
+  os << SynchronizerStateClaiming(1);
+  WritePod(os, int64_t{12});  // epoch index
+  WritePod(os, serialize::kMaxCount);
+  ExpectSynchronizerStateRejectedCheaply(os.str());
 }
 
 }  // namespace

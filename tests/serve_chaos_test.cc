@@ -247,7 +247,7 @@ TEST_F(ServeChaosTest, SurvivorSitesAreBitIdenticalAcrossSeedSweep) {
       EXPECT_EQ(stats.faults[i].hits, fault_rows[i].hits);
       EXPECT_EQ(stats.faults[i].fires, fault_rows[i].fires);
       if (fault_rows[i].fires > 0) {
-        EXPECT_NE(json.find(std::string("\"point\": \"") +
+        EXPECT_NE(json.find(std::string("\"point\":\"") +
                             FaultPointName(fault_rows[i].point) + "\""),
                   std::string::npos)
             << FaultPointName(fault_rows[i].point);

@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "pf/snapshot.h"
 #include "test_util.h"
@@ -182,6 +183,19 @@ TEST(SnapshotTest, V3RoundTripsHibernatedObjects) {
   }
 }
 
+/// The v3 bytes of the snapshot whose v4 bytes are `v4_bytes`: v3 carries
+/// the same payload unframed, so drop the 12-byte frame header (u64 length
+/// + u32 CRC) after magic+version and patch the version to 3.
+std::string DownconvertToV3(const std::string& v4_bytes) {
+  constexpr size_t kHeader = 8 + sizeof(uint32_t);
+  constexpr size_t kFrame = sizeof(uint64_t) + sizeof(uint32_t);
+  std::string out =
+      v4_bytes.substr(0, kHeader) + v4_bytes.substr(kHeader + kFrame);
+  const uint32_t three = 3;
+  std::memcpy(&out[8], &three, sizeof(three));
+  return out;
+}
+
 TEST(SnapshotTest, LoadsLegacyV3Snapshots) {
   // The one-back window: unframed v3 bytes must load into today's filter
   // exactly as the framed v4 bytes do — that is the upgrade path for
@@ -189,9 +203,9 @@ TEST(SnapshotTest, LoadsLegacyV3Snapshots) {
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
 
-  std::stringstream v3, v4;
-  ASSERT_TRUE(SaveFilterSnapshotV3(original, v3).ok());
+  std::stringstream v4;
   ASSERT_TRUE(SaveFilterSnapshot(original, v4).ok());
+  std::stringstream v3(DownconvertToV3(v4.str()));
 
   FactoredParticleFilter from_v3(MakeLineWorld(), Config());
   ASSERT_TRUE(LoadFilterSnapshot(v3, &from_v3).ok());
@@ -219,11 +233,11 @@ TEST(SnapshotTest, RejectsV2SnapshotsOutsideTheWindow) {
   FactoredParticleFilter original(MakeLineWorld(), Config());
   Drive(&original);
 
-  // A v3 save with the header's u32 version (after the 8-byte magic)
+  // v3 bytes with the header's u32 version (after the 8-byte magic)
   // patched to 2: the loader must reject it on the version alone.
-  std::stringstream v3;
-  ASSERT_TRUE(SaveFilterSnapshotV3(original, v3).ok());
-  std::string bytes = v3.str();
+  std::stringstream v4;
+  ASSERT_TRUE(SaveFilterSnapshot(original, v4).ok());
+  std::string bytes = DownconvertToV3(v4.str());
   const uint32_t two = 2;
   ASSERT_GT(bytes.size(), 8 + sizeof(two));
   std::memcpy(&bytes[8], &two, sizeof(two));

@@ -1,12 +1,15 @@
-// Tests for util/: Status, Result, Rng, TableWriter, Stopwatch.
+// Tests for util/: Status, Result, Rng, TableWriter, json::Writer,
+// Stopwatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -243,6 +246,77 @@ TEST(TableWriterTest, AlignedOutputPadsColumns) {
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(3.14159, 3), "3.142");
   EXPECT_EQ(FormatDouble(-0.5, 1), "-0.5");
+}
+
+// ------------------------------------------------------------ json::Writer ---
+
+TEST(JsonWriterTest, EscapesEveryControlByte) {
+  json::Writer w;
+  // 23 bytes: the NUL is part of the string.
+  w.String(std::string("q\" b\\ \b\f\n\r\t \x01 \x1f \x7f \0 end", 23));
+  EXPECT_EQ(w.str(),
+            "\"q\\\" b\\\\ \\b\\f\\n\\r\\t \\u0001 \\u001f \x7f \\u0000 "
+            "end\"");
+}
+
+TEST(JsonWriterTest, EscapesKeysLikeValues) {
+  json::Writer w;
+  w.BeginObject().Key("a\"\n").String("").EndObject();
+  EXPECT_EQ(w.str(), "{\"a\\\"\\n\":\"\"}");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreNull) {
+  json::Writer w;
+  w.BeginArray()
+      .Double(std::nan(""))
+      .Double(HUGE_VAL)
+      .Double(-HUGE_VAL)
+      .EndArray();
+  EXPECT_EQ(w.str(), "[null,null,null]");
+}
+
+TEST(JsonWriterTest, DoublesRoundTrip) {
+  json::Writer w;
+  w.BeginArray().Double(0.1).Double(1.5).Double(-2.0).Double(1e300).EndArray();
+  EXPECT_EQ(w.str(), "[0.10000000000000001,1.5,-2,1.0000000000000001e+300]");
+}
+
+TEST(JsonWriterTest, IntegersSpanSixtyFourBits) {
+  json::Writer w;
+  w.BeginArray()
+      .Uint(UINT64_MAX)
+      .Uint(0)
+      .Int(-42)
+      .Int(INT64_MIN)
+      .Bool(true)
+      .Bool(false)
+      .EndArray();
+  EXPECT_EQ(w.str(),
+            "[18446744073709551615,0,-42,-9223372036854775808,true,false]");
+}
+
+TEST(JsonWriterTest, EmptyContainers) {
+  json::Writer object;
+  object.BeginObject().EndObject();
+  EXPECT_EQ(object.str(), "{}");
+  json::Writer array;
+  array.BeginArray().EndArray();
+  EXPECT_EQ(array.str(), "[]");
+}
+
+TEST(JsonWriterTest, NestedContainersPlaceCommasBetweenMembersOnly) {
+  json::Writer w;
+  w.BeginObject();
+  w.Key("a").BeginArray().EndArray();
+  w.Key("b").BeginObject().EndObject();
+  w.Key("c").BeginArray().Int(1).BeginObject().Key("d").Int(2).EndObject();
+  w.BeginArray().EndArray().Int(3).EndArray();
+  w.Key("e").BeginObject().Key("f").BeginObject().Key("g").Bool(false);
+  w.EndObject().Key("h").String("x").EndObject();
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            "{\"a\":[],\"b\":{},\"c\":[1,{\"d\":2},[],3],"
+            "\"e\":{\"f\":{\"g\":false},\"h\":\"x\"}}");
 }
 
 // ------------------------------------------------------------- Stopwatch ---

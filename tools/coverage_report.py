@@ -121,7 +121,7 @@ def main() -> int:
     g_cov, g_exe, g_pct = tree_stats(gates)
     a_cov, a_exe, a_pct = tree_stats(["src"])
 
-    out_dir = REPO / args.out
+    out_dir = (REPO / args.out).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "gate_trees": gates,
@@ -147,10 +147,12 @@ def main() -> int:
     html.append("</table>")
     (out_dir / "coverage.html").write_text("\n".join(html))
 
+    shown_out = (out_dir.relative_to(REPO) if out_dir.is_relative_to(REPO)
+                 else out_dir)
     print(f"coverage_report: {len(per_file)} files, "
           f"gate {'+'.join(gates)} = {g_pct}% line coverage "
           f"({g_cov}/{g_exe}), all src/ = {a_pct}% "
-          f"-> {out_dir.relative_to(REPO)}/")
+          f"-> {shown_out}/")
 
     if args.min_line_coverage is not None and g_pct < args.min_line_coverage:
         print(f"COVERAGE GATE FAILED: {g_pct}% < floor "
