@@ -13,7 +13,6 @@
 #include "pf/resample.h"
 #include "sim/trace.h"
 #include "core/experiment.h"
-#include "util/simd.h"
 #include "util/stopwatch.h"
 
 namespace rfid {
@@ -109,33 +108,6 @@ BENCHMARK(BM_SensorProbReadBatch<ConeSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<LogisticSensorModel>)->Arg(1000);
 BENCHMARK(BM_SensorProbReadBatch<SphericalSensorModel>)->Arg(1000);
 
-/// The SIMD gather lanes against the scalar batch above (same one-frame
-/// shape; backend in the label). Includes a remainder-lane size.
-template <typename SensorT>
-void BM_SensorProbReadBatchSimd(benchmark::State& state) {
-  SensorT sensor;
-  Rng rng(4);
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<double> xs(n), ys(n), zs(n), out(n);
-  for (size_t k = 0; k < n; ++k) {
-    xs[k] = rng.Uniform(0, 6);
-    ys[k] = rng.Uniform(-3, 3);
-    zs[k] = 0.0;
-  }
-  const ReaderFrame frame = ReaderFrame::From(Pose({0, 0, 0}, 0.0));
-  const std::vector<uint32_t> idx(n, 0);
-  for (auto _ : state) {
-    sensor.ProbReadBatchGatherSimd(&frame, idx.data(), xs.data(), ys.data(),
-                                   zs.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.SetLabel(std::string("backend = ") + simd::kBackendName);
-}
-BENCHMARK(BM_SensorProbReadBatchSimd<ConeSensorModel>)->Arg(1000)->Arg(10);
-BENCHMARK(BM_SensorProbReadBatchSimd<LogisticSensorModel>)->Arg(1000);
-BENCHMARK(BM_SensorProbReadBatchSimd<SphericalSensorModel>)->Arg(1000);
-
 /// The gather variant used by the factored weighting (per-particle reader
 /// attachment, 100 frames).
 void BM_ConeSensorProbReadBatchGather(benchmark::State& state) {
@@ -204,7 +176,7 @@ BENCHMARK(BM_GaussianBeliefSample);
 
 void BM_FactoredFilterEpoch(benchmark::State& state) {
   // One epoch of the factored filter over a mid-sized warehouse stream;
-  // second argument is the worker-pool width, third toggles SIMD kernels.
+  // second argument is the worker-pool width.
   WarehouseConfig wc;
   wc.num_shelves = 4;
   wc.objects_per_shelf = static_cast<int>(state.range(0)) / 4;
@@ -222,7 +194,6 @@ void BM_FactoredFilterEpoch(benchmark::State& state) {
   config.num_object_particles = 1000;
   config.seed = 9;
   config.num_threads = static_cast<int>(state.range(1));
-  config.use_simd_kernels = state.range(2) != 0;
   FactoredParticleFilter filter(
       MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
                      options),
@@ -240,10 +211,9 @@ void BM_FactoredFilterEpoch(benchmark::State& state) {
   state.SetLabel("items = readings");
 }
 BENCHMARK(BM_FactoredFilterEpoch)
-    ->Args({40, 1, 0})
-    ->Args({200, 1, 0})
-    ->Args({200, 1, 1})
-    ->Args({200, 4, 0});
+    ->Args({40, 1})
+    ->Args({200, 1})
+    ->Args({200, 4});
 
 /// Short self-timed factored run for BENCH_micro.json (epochs/sec,
 /// particles/sec at a given pool width), independent of the
@@ -251,48 +221,43 @@ BENCHMARK(BM_FactoredFilterEpoch)
 void WriteMicroJson() {
   bench::BenchJson json("micro");
   for (const int threads : {1, 4}) {
-    for (const bool simd : {false, true}) {
-      if (simd && !simd::kVectorized) continue;  // Scalar fallback: no new data.
-      WarehouseConfig wc;
-      wc.num_shelves = 4;
-      wc.objects_per_shelf = 50;
-      wc.shelf_tags_per_shelf = 2;
-      auto layout = BuildWarehouse(wc);
-      ConeSensorModel sensor;
-      TraceGenerator gen(layout.value(), RobotConfig{}, {}, sensor, 8);
-      const SimulatedTrace trace = gen.Generate();
+    WarehouseConfig wc;
+    wc.num_shelves = 4;
+    wc.objects_per_shelf = 50;
+    wc.shelf_tags_per_shelf = 2;
+    auto layout = BuildWarehouse(wc);
+    ConeSensorModel sensor;
+    TraceGenerator gen(layout.value(), RobotConfig{}, {}, sensor, 8);
+    const SimulatedTrace trace = gen.Generate();
 
-      ExperimentModelOptions options;
-      options.motion.delta = {0.0, 0.1, 0.0};
-      options.motion.sigma = {0.02, 0.02, 0.0};
-      FactoredFilterConfig config;
-      config.num_reader_particles = 100;
-      config.num_object_particles = 1000;
-      config.seed = 9;
-      config.num_threads = threads;
-      config.use_simd_kernels = simd;
-      FactoredParticleFilter filter(
-          MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
-                         options),
-          config);
-      Stopwatch watch;
-      for (const auto& epoch : trace.epochs) {
-        filter.ObserveEpoch(epoch.observations);
-      }
-      const double seconds = watch.ElapsedSeconds();
-      json.BeginRow();
-      json.Add("benchmark", "factored_filter_trace");
-      json.Add("objects", wc.num_shelves * wc.objects_per_shelf);
-      json.Add("threads", threads);
-      json.Add("simd", simd ? simd::kBackendName : "off");
-      json.Add("epochs", trace.epochs.size());
-      json.Add("epochs_per_sec",
-               seconds > 0 ? trace.epochs.size() / seconds : 0.0);
-      json.Add("particles_per_sec",
-               seconds > 0
-                   ? static_cast<double>(filter.particle_updates()) / seconds
-                   : 0.0);
+    ExperimentModelOptions options;
+    options.motion.delta = {0.0, 0.1, 0.0};
+    options.motion.sigma = {0.02, 0.02, 0.0};
+    FactoredFilterConfig config;
+    config.num_reader_particles = 100;
+    config.num_object_particles = 1000;
+    config.seed = 9;
+    config.num_threads = threads;
+    FactoredParticleFilter filter(
+        MakeWorldModel(layout.value(), std::make_unique<ConeSensorModel>(),
+                       options),
+        config);
+    Stopwatch watch;
+    for (const auto& epoch : trace.epochs) {
+      filter.ObserveEpoch(epoch.observations);
     }
+    const double seconds = watch.ElapsedSeconds();
+    json.BeginRow();
+    json.Add("benchmark", "factored_filter_trace");
+    json.Add("objects", wc.num_shelves * wc.objects_per_shelf);
+    json.Add("threads", threads);
+    json.Add("epochs", trace.epochs.size());
+    json.Add("epochs_per_sec",
+             seconds > 0 ? trace.epochs.size() / seconds : 0.0);
+    json.Add("particles_per_sec",
+             seconds > 0
+                 ? static_cast<double>(filter.particle_updates()) / seconds
+                 : 0.0);
   }
   if (!json.WriteFile("BENCH_micro.json")) {
     std::fprintf(stderr, "warning: failed writing BENCH_micro.json\n");

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "bench_util.h"
 #include "obs/metrics.h"
@@ -69,6 +70,7 @@ struct RunResult {
   uint64_t records = 0;
   double readings = 0.0;
   uint64_t events = 0;
+  Status diagnostics;  ///< Outcome of the bundle dump, when one was asked for.
 };
 
 /// `telemetry` flips both the metrics/latency switch and the span tracer
@@ -108,7 +110,9 @@ RunResult RunServer(const std::vector<SiteTraffic>& traffic, int num_shards,
   if (!server.ok()) {
     std::fprintf(stderr, "server create failed: %s\n",
                  server.status().ToString().c_str());
-    return {};
+    RunResult failed;
+    if (bundle_dir != nullptr) failed.diagnostics = server.status();
+    return failed;
   }
   std::atomic<uint64_t> events{0};
   server.value()->bus().SubscribeEvents(
@@ -139,15 +143,48 @@ RunResult RunServer(const std::vector<SiteTraffic>& traffic, int num_shards,
         traffic.front().site,
         {std::numeric_limits<double>::quiet_NaN(), 0}));
     server.value()->Pump();
-    const Status dumped = server.value()->DumpDiagnostics(bundle_dir);
-    if (!dumped.ok()) {
+    result.diagnostics = server.value()->DumpDiagnostics(bundle_dir);
+    if (!result.diagnostics.ok()) {
       std::fprintf(stderr, "diagnostics dump failed: %s\n",
-                   dumped.ToString().c_str());
+                   result.diagnostics.ToString().c_str());
     }
   }
   obs::Tracer::Default().SetEnabled(false);
   obs::SetTelemetryEnabled(true);
   return result;
+}
+
+/// One telemetry-on/off pair over the fixed overhead workload (2 shards x 2
+/// threads). Runs alternate between the two sides, starting with the
+/// telemetry-on side when `on_first`, until each side's timed sections cover
+/// at least `min_seconds`; host-speed drift then lands on both sides alike.
+/// Returns false when a run fails.
+bool MeasureOverheadPair(const std::vector<SiteTraffic>& traffic,
+                         bool on_first, double min_seconds,
+                         double* on_records_per_sec,
+                         double* off_records_per_sec) {
+  double wall[2] = {0.0, 0.0};  // Indexed by telemetry on.
+  uint64_t records[2] = {0, 0};
+  bool telemetry = on_first;
+  while (wall[0] < min_seconds || wall[1] < min_seconds) {
+    const RunResult run = RunServer(traffic, 2, 2, telemetry);
+    if (run.wall_seconds <= 0) return false;
+    wall[telemetry] += run.wall_seconds;
+    records[telemetry] += run.records;
+    telemetry = !telemetry;
+  }
+  *on_records_per_sec = static_cast<double>(records[1]) / wall[1];
+  *off_records_per_sec = static_cast<double>(records[0]) / wall[0];
+  return true;
+}
+
+/// Linear-interpolation quantile of an ascending-sorted, non-empty vector.
+double SortedQuantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 }  // namespace
@@ -202,44 +239,65 @@ int main() {
   bench::PrintTable(table);
 
   // Instrumentation overhead: the same fixed workload with metrics latency
-  // sampling + span tracing fully enabled vs disabled, best of 5 each with
-  // the off/on runs interleaved — machine-load drift during the loop then
-  // hits both sides instead of biasing whichever ran last. The rows land
-  // in BENCH_serve.json under configuration "obs-overhead"; CI gates
-  // on/off staying within a few percent (see PERF.md).
-  double best_off = 0.0;
-  double best_on = 0.0;
-  for (int rep = 0; rep < 5; ++rep) {
-    for (const bool obs_on : {false, true}) {
-      const RunResult run = RunServer(traffic, 2, 2, obs_on);
-      if (run.wall_seconds <= 0) continue;
-      double& best = obs_on ? best_on : best_off;
-      best = std::max(
-          best, static_cast<double>(run.records) / run.wall_seconds);
+  // sampling + span tracing enabled vs disabled, as kOverheadPairs paired
+  // trials. Within a pair the two sides' runs interleave until each covers
+  // at least kOverheadSideSeconds of timed processing, and the side that
+  // runs first alternates from pair to pair, so machine-load drift hits
+  // both sides instead of biasing either. Every pair's on/off ratio lands
+  // in BENCH_serve.json (configuration "obs-overhead-pair"), with their
+  // median and IQR in the "obs-overhead" row; CI gates the median (see
+  // PERF.md).
+  constexpr int kOverheadPairs = 9;
+  constexpr double kOverheadSideSeconds = 2.0;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    double on = 0.0, off = 0.0;
+    if (!MeasureOverheadPair(traffic, on_first, kOverheadSideSeconds, &on,
+                             &off)) {
+      continue;
     }
-  }
-  for (const bool obs_on : {false, true}) {
+    ratios.push_back(on / off);
     json.BeginRow();
-    json.Add("configuration", "obs-overhead");
-    json.Add("obs", obs_on ? "on" : "off");
+    json.Add("configuration", "obs-overhead-pair");
+    json.Add("pair", pair);
+    json.Add("first", on_first ? "on" : "off");
     json.Add("shards", 2);
     json.Add("threads", 2);
-    json.Add("records_per_sec", obs_on ? best_on : best_off);
+    json.Add("off_records_per_sec", off);
+    json.Add("on_records_per_sec", on);
+    json.Add("ratio", on / off);
   }
-  if (best_off > 0) {
-    std::printf("\ninstrumentation overhead (2 shards x 2 threads, best of "
-                "5 interleaved): off %.0f rec/s, on %.0f rec/s, ratio %.4f\n",
-                best_off, best_on, best_on / best_off);
+  if (!ratios.empty()) {
+    std::vector<double> sorted = ratios;
+    std::sort(sorted.begin(), sorted.end());
+    const double median = SortedQuantile(sorted, 0.5);
+    const double iqr =
+        SortedQuantile(sorted, 0.75) - SortedQuantile(sorted, 0.25);
+    json.BeginRow();
+    json.Add("configuration", "obs-overhead");
+    json.Add("shards", 2);
+    json.Add("threads", 2);
+    json.Add("pairs", ratios.size());
+    json.Add("ratio_median", median);
+    json.Add("ratio_iqr", iqr);
+    std::printf("\ninstrumentation overhead (2 shards x 2 threads, %zu "
+                "interleaved pairs of >= %.1f s a side): on/off ratio median "
+                "%.4f, IQR %.4f\n",
+                ratios.size(), kOverheadSideSeconds, median, iqr);
   }
 
   // A complete post-mortem bundle as a CI artifact: metrics scrape, trace,
   // stats, flight records and a dead-letter spill from a real run.
-  (void)RunServer(traffic, 2, 2, /*telemetry=*/true, "diagnostics_sample");
-  std::printf("wrote diagnostics_sample/ (post-mortem bundle)\n");
+  const RunResult sample = RunServer(traffic, 2, 2, /*telemetry=*/true,
+                                     "diagnostics_sample");
+  if (sample.diagnostics.ok()) {
+    std::printf("wrote diagnostics_sample/ (post-mortem bundle)\n");
+  }
 
   bench::WriteBenchJson(json, "serve");
   std::printf("note: shards partition sites; threads set the pump pool "
               "width. Run with RFID_FULL_SCALE=1 for 16 sites x 100 "
               "objects.\n");
-  return 0;
+  return sample.diagnostics.ok() ? 0 : 1;
 }

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "model/simd_kernels.h"
-
 namespace rfid {
 
 Aabb ConeSensorModel::SensingBounds(const Pose& reader) const {
@@ -117,12 +115,6 @@ class ConeBatchEval {
 
 }  // namespace
 
-void ConeSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
-                                             const Vec3* positions, size_t n,
-                                             double* out) const {
-  batch_detail::BatchAos(ConeBatchEval(*this), frame, positions, n, out);
-}
-
 void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           const uint32_t* frame_idx,
                                           const double* xs, const double* ys,
@@ -130,33 +122,6 @@ void ConeSensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                           double* out) const {
   batch_detail::BatchGather(ConeBatchEval(*this), frames, frame_idx, xs, ys,
                             zs, n, out);
-}
-
-namespace {
-
-simd_kernel::ConeEval MakeConeEval(const ConeSensorParams& params,
-                                   double max_range) {
-  simd_kernel::ConeEval::Params p;
-  p.major_read_rate = params.major_read_rate;
-  p.major_half_angle = params.major_half_angle;
-  p.theta_max = params.major_half_angle + params.minor_extra_angle;
-  p.major_range = params.major_range;
-  p.r_max = max_range;
-  p.inv_minor_angle = 1.0 / params.minor_extra_angle;
-  p.inv_minor_range = 1.0 / params.minor_extra_range;
-  return simd_kernel::ConeEval(p);
-}
-
-}  // namespace
-
-void ConeSensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                              const uint32_t* frame_idx,
-                                              const double* xs,
-                                              const double* ys,
-                                              const double* zs, size_t n,
-                                              double* out) const {
-  simd_kernel::BatchGatherSimd(MakeConeEval(params_, MaxRange()), frames,
-                               frame_idx, xs, ys, zs, n, out);
 }
 
 }  // namespace rfid

@@ -41,19 +41,13 @@ class ConeSensorModel final : public SensorModel {
     return std::make_unique<ConeSensorModel>(*this);
   }
 
-  // Devirtualized batch kernels; beyond MaxRange() the cone is exactly zero,
-  // so out-of-range particles skip the bearing acos entirely. The scalar
-  // shapes also skip it outside the minor wedge (bearing pre-test on cos θ).
-  void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
-                              size_t n, double* out) const override;
+  // Devirtualized batch kernel; beyond MaxRange() the cone is exactly zero,
+  // so out-of-range particles skip the bearing acos entirely, and so do
+  // particles outside the minor wedge (bearing pre-test on cos θ).
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                               const uint32_t* frame_idx, const double* xs,
-                               const double* ys, const double* zs, size_t n,
-                               double* out) const override;
 
   const ConeSensorParams& params() const { return params_; }
 

@@ -74,20 +74,10 @@ class RangeBearingEval {
   double zero_beyond_sq_;
 };
 
-// The two batch shapes below take any per-element evaluator `eval(frame,
-// x, y, z)` — RangeBearingEval, or a model's own exact variant of it.
-
-/// One frame, AoS positions (the basic filter's per-particle object lists).
-template <typename EvalT>
-inline void BatchAos(const EvalT& eval, const ReaderFrame& frame,
-                     const Vec3* positions, size_t n, double* out) {
-  for (size_t k = 0; k < n; ++k) {
-    out[k] = eval(frame, positions[k].x, positions[k].y, positions[k].z);
-  }
-}
-
 /// Per-element frame lookup (the factored filter: particle k is conditioned
-/// on reader particle frame_idx[k]).
+/// on reader particle frame_idx[k]) over any per-element evaluator
+/// `eval(frame, x, y, z)` — RangeBearingEval, or a model's own exact variant
+/// of it.
 template <typename EvalT>
 inline void BatchGather(const EvalT& eval, const ReaderFrame* frames,
                         const uint32_t* frame_idx, const double* xs,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "model/simd_kernels.h"
-
 namespace rfid {
 
 namespace {
@@ -19,13 +17,6 @@ constexpr double kRangeScanLimit = 25.0;
 constexpr double kPeakFraction = 0.1;
 }  // namespace
 
-void SensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
-                                         const Vec3* positions, size_t n,
-                                         double* out) const {
-  const batch_detail::RangeBearingEval eval(*this, batch_detail::kNoCutoff);
-  batch_detail::BatchAos(eval, frame, positions, n, out);
-}
-
 void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
                                       const uint32_t* frame_idx,
                                       const double* xs, const double* ys,
@@ -35,34 +26,11 @@ void SensorModel::ProbReadBatchGather(const ReaderFrame* frames,
   batch_detail::BatchGather(eval, frames, frame_idx, xs, ys, zs, n, out);
 }
 
-void SensorModel::ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                          const uint32_t* frame_idx,
-                                          const double* xs, const double* ys,
-                                          const double* zs, size_t n,
-                                          double* out) const {
-  ProbReadBatchGather(frames, frame_idx, xs, ys, zs, n, out);
-}
-
-void LogisticSensorModel::ProbReadBatchPositions(const ReaderFrame& frame,
-                                                 const Vec3* positions,
-                                                 size_t n, double* out) const {
-  const batch_detail::RangeBearingEval eval(*this, negligible_range_);
-  batch_detail::BatchAos(eval, frame, positions, n, out);
-}
-
 void LogisticSensorModel::ProbReadBatchGather(
     const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
     const double* ys, const double* zs, size_t n, double* out) const {
   const batch_detail::RangeBearingEval eval(*this, negligible_range_);
   batch_detail::BatchGather(eval, frames, frame_idx, xs, ys, zs, n, out);
-}
-
-void LogisticSensorModel::ProbReadBatchGatherSimd(
-    const ReaderFrame* frames, const uint32_t* frame_idx, const double* xs,
-    const double* ys, const double* zs, size_t n, double* out) const {
-  simd_kernel::BatchGatherSimd(
-      simd_kernel::LogisticEval(a_, b_, negligible_range_), frames, frame_idx,
-      xs, ys, zs, n, out);
 }
 
 LogisticSensorModel::LogisticSensorModel()

@@ -68,40 +68,19 @@ class SensorModel {
   }
 
   // --- Batched evaluation -------------------------------------------------
-  //
-  // The scalar variants produce exactly the scalar ProbReadAt result per
-  // element (same range/bearing arithmetic, see reader_frame.h); concrete
-  // models override them with devirtualized inner loops. The base
-  // implementations pay one virtual ProbRead per element and exist so new
-  // sensor models work unoptimized out of the box. A single reader frame is
-  // the gather shape with a one-entry frame table and an all-zero index.
 
   /// Per-element frames: out[k] = p(read | frames[frame_idx[k]], (xs[k],
   /// ys[k], zs[k])) for k in [0, n) — the factored representation, where
-  /// each particle conditions on its own reader (paper Eq. (5)).
+  /// each particle conditions on its own reader (paper Eq. (5)). Each element
+  /// is exactly the scalar ProbReadAt result (same range/bearing arithmetic,
+  /// see reader_frame.h); concrete models override this with devirtualized
+  /// inner loops, while the base implementation pays one virtual ProbRead per
+  /// element so new sensor models work unoptimized out of the box. A single
+  /// reader frame is a one-entry frame table with an all-zero index.
   virtual void ProbReadBatchGather(const ReaderFrame* frames,
                                    const uint32_t* frame_idx, const double* xs,
                                    const double* ys, const double* zs,
                                    size_t n, double* out) const;
-
-  /// One frame against array-of-structs positions (the basic filter's
-  /// per-particle object lists).
-  virtual void ProbReadBatchPositions(const ReaderFrame& frame,
-                                      const Vec3* positions, size_t n,
-                                      double* out) const;
-
-  /// SIMD variant of ProbReadBatchGather (4-wide lanes, util/simd.h), with
-  /// the frame fields fetched by index gathers from the frame table. Results
-  /// carry the polynomial exp/acos error bound of <= 1e-9 relative per
-  /// element instead of the 1e-12 scalar-parity contract, so callers opt in
-  /// explicitly (FactoredFilterConfig::use_simd_kernels). The base
-  /// implementation falls back to the scalar kernel, so models without a
-  /// vector kernel stay correct.
-  virtual void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                                       const uint32_t* frame_idx,
-                                       const double* xs, const double* ys,
-                                       const double* zs, size_t n,
-                                       double* out) const;
 };
 
 /// Learnable parametric sensor model, paper Eq. (1).
@@ -123,16 +102,10 @@ class LogisticSensorModel final : public SensorModel {
     return std::make_unique<LogisticSensorModel>(*this);
   }
 
-  void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
-                              size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                               const uint32_t* frame_idx, const double* xs,
-                               const double* ys, const double* zs, size_t n,
-                               double* out) const override;
 
   const std::array<double, 3>& a() const { return a_; }
   const std::array<double, 3>& b() const { return b_; }

@@ -42,20 +42,14 @@ class SphericalSensorModel final : public SensorModel {
     return std::make_unique<SphericalSensorModel>(*this);
   }
 
-  // Devirtualized batch kernels. The Gaussian decay never reaches exactly
+  // Devirtualized batch kernel. The Gaussian decay never reaches exactly
   // zero, but past NegligibleRange() it provably stays under
-  // kBatchNegligibleProb, so the kernels zero those elements and skip the
+  // kBatchNegligibleProb, so the kernel zeroes those elements and skips the
   // exp (invisible to the filters — see reader_frame.h).
-  void ProbReadBatchPositions(const ReaderFrame& frame, const Vec3* positions,
-                              size_t n, double* out) const override;
   void ProbReadBatchGather(const ReaderFrame* frames, const uint32_t* frame_idx,
                            const double* xs, const double* ys,
                            const double* zs, size_t n,
                            double* out) const override;
-  void ProbReadBatchGatherSimd(const ReaderFrame* frames,
-                               const uint32_t* frame_idx, const double* xs,
-                               const double* ys, const double* zs, size_t n,
-                               double* out) const override;
 
   const SphericalSensorParams& params() const { return params_; }
 

@@ -94,11 +94,19 @@ void BasicParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
   std::unordered_set<TagId> observed_shelf_ids;
   for (const ShelfTag* s : observed_shelves) observed_shelf_ids.insert(s->tag);
 
+  // Each particle's object slots are weighted against that particle's reader
+  // alone: a one-frame table and an all-zero index into the gather kernel.
+  const size_t num_slots = slot_tags_.size();
+  scratch_probs_.resize(num_slots);
+  scratch_xs_.resize(num_slots);
+  scratch_ys_.resize(num_slots);
+  scratch_zs_.resize(num_slots);
+  scratch_frame_idx_.assign(num_slots, 0);
   std::vector<double> log_weights(particles_.size());
   for (size_t j = 0; j < particles_.size(); ++j) {
     const Particle& particle = particles_[j];
-    // Hoist the reader pose's heading trig once per particle; every sensor
-    // evaluation below then goes through the batched kernels.
+    // Hoist the reader pose's heading trig once per particle for the batched
+    // object evaluation below.
     const ReaderFrame frame = ReaderFrame::From(particle.reader);
     double lw = std::log(std::max(weights_[j], kProbFloor));
     if (epoch.has_location) {
@@ -117,10 +125,15 @@ void BasicParticleFilter::ObserveEpoch(const SyncedEpoch& epoch) {
       lw += SafeLog(1.0 -
                     model_.sensor().ProbReadAt(particle.reader, s->location));
     }
-    const size_t num_slots = particle.objects.size();
-    scratch_probs_.resize(num_slots);
-    model_.sensor().ProbReadBatchPositions(frame, particle.objects.data(),
-                                           num_slots, scratch_probs_.data());
+    for (size_t slot = 0; slot < num_slots; ++slot) {
+      scratch_xs_[slot] = particle.objects[slot].x;
+      scratch_ys_[slot] = particle.objects[slot].y;
+      scratch_zs_[slot] = particle.objects[slot].z;
+    }
+    model_.sensor().ProbReadBatchGather(
+        &frame, scratch_frame_idx_.data(), scratch_xs_.data(),
+        scratch_ys_.data(), scratch_zs_.data(), num_slots,
+        scratch_probs_.data());
     for (size_t slot = 0; slot < num_slots; ++slot) {
       const double p = scratch_probs_[slot];
       lw += scratch_observed_[slot] ? SafeLog(p) : SafeLog(1.0 - p);

@@ -63,8 +63,13 @@ class BasicParticleFilter final : public InferenceFilter {
   std::vector<TagId> slot_tags_;
   bool reader_initialized_ = false;
 
-  // Scratch reused across epochs: batched per-object likelihoods and the
-  // observed-slot bitmap for the weighting loop.
+  // Scratch reused across epochs for the weighting loop: one particle's
+  // object positions as component arrays, the all-zero frame index, the
+  // batched per-object likelihoods and the observed-slot bitmap.
+  std::vector<double> scratch_xs_;
+  std::vector<double> scratch_ys_;
+  std::vector<double> scratch_zs_;
+  std::vector<uint32_t> scratch_frame_idx_;
   std::vector<double> scratch_probs_;
   std::vector<uint8_t> scratch_observed_;
 };

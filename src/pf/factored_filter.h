@@ -137,12 +137,6 @@ struct FactoredFilterConfig {
   /// then tracks the high-water mark, the seed behavior).
   int shrink_interval_epochs = 64;
 
-  /// Evaluate the weighting with the 4-wide SIMD index-gather kernels
-  /// (util/simd.h). Opt-in: the polynomial exp/acos carry a <= 1e-9
-  /// relative-error bound, outside the default 1e-12 scalar-parity /
-  /// bit-identity contracts.
-  bool use_simd_kernels = false;
-
   uint64_t seed = 1;
 };
 

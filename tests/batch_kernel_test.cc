@@ -1,16 +1,9 @@
-// Parity tests for the batched sensor kernels (reader_frame.h): both scalar
-// batch entry points (per-element frame gather, and AoS positions against one
-// frame) must reproduce the scalar ProbReadAt result to 1e-12 per element,
-// for the cone, spherical and logistic models, including the degenerate
-// tag-at-reader geometry and out-of-range positions. A single frame goes
-// through the gather entry points as a one-frame table with an all-zero
-// index.
-//
-// The SIMD kernels (simd_kernels.h) carry a looser, explicitly documented
-// contract — |simd - scalar| <= 1e-9 * scalar + 1e-12 per element — because
-// their exp/acos are the simd.h polynomials; randomized sweeps below pin it
-// down for all three models, every remainder-lane count n % 4, and the
-// far-field short-circuit boundary.
+// Parity tests for the batched sensor kernel (reader_frame.h): the
+// per-element frame gather must reproduce the scalar ProbReadAt result to
+// 1e-12 per element, for the cone, spherical and logistic models, including
+// the degenerate tag-at-reader geometry and out-of-range positions. A single
+// frame (the basic filter's shape: one reader against all of a particle's
+// objects) goes through it as a one-frame table with an all-zero index.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,10 +19,6 @@ namespace rfid {
 namespace {
 
 constexpr double kTol = 1e-12;
-/// SIMD contract: relative 1e-9, with an absolute floor of 1e-12 where the
-/// scalar probability itself is negligible (e.g. short-circuited lanes).
-constexpr double kSimdRelTol = 1e-9;
-constexpr double kSimdAbsTol = 1e-12;
 constexpr size_t kNumPositions = 4096;
 
 struct Soa {
@@ -52,18 +41,13 @@ Soa MakePositions(const Pose& reader, uint64_t seed) {
   return soa;
 }
 
-/// Evaluates n positions against one frame through the gather entry point
-/// (scalar or SIMD): a one-frame table and an all-zero index.
+/// Evaluates n positions against one frame through the gather entry point:
+/// a one-frame table and an all-zero index.
 void GatherOneFrame(const SensorModel& sensor, const ReaderFrame& frame,
                     const double* xs, const double* ys, const double* zs,
-                    size_t n, double* out, bool simd = false) {
+                    size_t n, double* out) {
   const std::vector<uint32_t> zero_idx(n, 0);
-  if (simd) {
-    sensor.ProbReadBatchGatherSimd(&frame, zero_idx.data(), xs, ys, zs, n,
-                                   out);
-  } else {
-    sensor.ProbReadBatchGather(&frame, zero_idx.data(), xs, ys, zs, n, out);
-  }
+  sensor.ProbReadBatchGather(&frame, zero_idx.data(), xs, ys, zs, n, out);
 }
 
 void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
@@ -75,17 +59,10 @@ void ExpectBatchMatchesScalar(const SensorModel& sensor, uint64_t seed) {
   std::vector<double> out(n, -1.0);
   GatherOneFrame(sensor, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(),
                  n, out.data());
-  std::vector<Vec3> positions(n);
   for (size_t k = 0; k < n; ++k) {
-    positions[k] = {soa.xs[k], soa.ys[k], soa.zs[k]};
-  }
-  std::vector<double> out_aos(n, -1.0);
-  sensor.ProbReadBatchPositions(frame, positions.data(), n, out_aos.data());
-
-  for (size_t k = 0; k < n; ++k) {
-    const double scalar = sensor.ProbReadAt(reader, positions[k]);
+    const double scalar =
+        sensor.ProbReadAt(reader, {soa.xs[k], soa.ys[k], soa.zs[k]});
     EXPECT_NEAR(out[k], scalar, kTol) << "one-frame gather, element " << k;
-    EXPECT_NEAR(out_aos[k], scalar, kTol) << "AoS batch, element " << k;
   }
 }
 
@@ -153,114 +130,6 @@ TEST(BatchKernelTest, BaseClassDefaultMatchesScalar) {
   ExpectGatherMatchesScalar(PlainModel(), 502);
 }
 
-/// SIMD-vs-scalar parity sweep against one frame: random positions at every
-/// remainder-lane count (n % 4 in {0,1,2,3}), plus a large batch and the
-/// degenerate tag-at-reader geometry.
-void ExpectSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  const Pose reader({0.7, -1.2, 0.3}, 0.9);
-  const ReaderFrame frame = ReaderFrame::From(reader);
-  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{6}, size_t{7}, size_t{8}, size_t{33},
-                   kNumPositions + 1}) {
-    Rng rng(seed + n);
-    Soa soa;
-    for (size_t k = 0; k + 1 < n; ++k) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-    }
-    // Last element: degenerate tag-at-reader position.
-    soa.xs.push_back(reader.position.x);
-    soa.ys.push_back(reader.position.y);
-    soa.zs.push_back(reader.position.z);
-
-    std::vector<double> out(n, -1.0);
-    GatherOneFrame(sensor, frame, soa.xs.data(), soa.ys.data(),
-                   soa.zs.data(), n, out.data(), /*simd=*/true);
-    for (size_t k = 0; k < n; ++k) {
-      const double scalar = sensor.ProbReadAt(
-          reader, {soa.xs[k], soa.ys[k], soa.zs[k]});
-      EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-          << "n = " << n << ", element " << k;
-    }
-  }
-}
-
-/// Same sweep with per-element frames (the factored filter's SIMD path) at
-/// every remainder-lane count.
-void ExpectGatherSimdMatchesScalar(const SensorModel& sensor, uint64_t seed) {
-  std::vector<Pose> poses = {Pose({0, 0, 0}, 0.0), Pose({1, 2, 0}, 1.3),
-                             Pose({-2, 4, 0.5}, -2.7), Pose({3, -1, 0}, 3.1)};
-  std::vector<ReaderFrame> frames;
-  for (const Pose& p : poses) frames.push_back(ReaderFrame::From(p));
-  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{7},
-                   size_t{64}, kNumPositions}) {
-    Rng rng(seed + n);
-    Soa soa;
-    std::vector<uint32_t> frame_idx;
-    for (size_t k = 0; k < n; ++k) {
-      soa.xs.push_back(rng.Uniform(-8.0, 8.0));
-      soa.ys.push_back(rng.Uniform(-8.0, 8.0));
-      soa.zs.push_back(rng.Uniform(-2.0, 2.0));
-      frame_idx.push_back(static_cast<uint32_t>(rng.UniformInt(poses.size())));
-    }
-    std::vector<double> out(n, -1.0);
-    sensor.ProbReadBatchGatherSimd(frames.data(), frame_idx.data(),
-                                   soa.xs.data(), soa.ys.data(), soa.zs.data(),
-                                   n, out.data());
-    for (size_t k = 0; k < n; ++k) {
-      const double scalar = sensor.ProbReadAt(
-          poses[frame_idx[k]], {soa.xs[k], soa.ys[k], soa.zs[k]});
-      EXPECT_NEAR(out[k], scalar, kSimdRelTol * scalar + kSimdAbsTol)
-          << "n = " << n << ", element " << k;
-    }
-  }
-}
-
-TEST(BatchKernelTest, SimdConeMatchesScalar) {
-  ExpectSimdMatchesScalar(ConeSensorModel(), 601);
-  ExpectGatherSimdMatchesScalar(ConeSensorModel(), 611);
-}
-
-TEST(BatchKernelTest, SimdSphericalMatchesScalar) {
-  ExpectSimdMatchesScalar(SphericalSensorModel(), 602);
-  ExpectGatherSimdMatchesScalar(SphericalSensorModel(), 612);
-  for (double timeout : {250.0, 500.0, 750.0}) {
-    ExpectSimdMatchesScalar(SphericalSensorModel::ForTimeoutMs(timeout), 603);
-  }
-}
-
-TEST(BatchKernelTest, SimdLogisticMatchesScalar) {
-  ExpectSimdMatchesScalar(LogisticSensorModel(), 604);
-  ExpectGatherSimdMatchesScalar(LogisticSensorModel(), 614);
-}
-
-TEST(BatchKernelTest, SimdBaseClassFallbackMatchesScalarExactly) {
-  // A model without a vector kernel routes ProbReadBatchGatherSimd through
-  // the scalar gather path — exact parity, not just 1e-9.
-  class PlainModel final : public SensorModel {
-   public:
-    double ProbRead(double distance, double angle) const override {
-      return std::exp(-distance) * (1.0 - angle / (2.0 * M_PI));
-    }
-    double MaxRange() const override { return 10.0; }
-    std::unique_ptr<SensorModel> Clone() const override {
-      return std::make_unique<PlainModel>(*this);
-    }
-  };
-  const PlainModel plain;
-  const Pose reader({0.2, 0.4, 0.0}, -0.3);
-  const ReaderFrame frame = ReaderFrame::From(reader);
-  const Soa soa = MakePositions(reader, 605);
-  const size_t n = soa.xs.size();
-  std::vector<double> simd_out(n, -1.0), batch_out(n, -2.0);
-  GatherOneFrame(plain, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                 simd_out.data(), /*simd=*/true);
-  GatherOneFrame(plain, frame, soa.xs.data(), soa.ys.data(), soa.zs.data(), n,
-                 batch_out.data());
-  for (size_t k = 0; k < n; ++k) EXPECT_EQ(simd_out[k], batch_out[k]);
-}
-
 /// Far-field short circuit: beyond NegligibleRange() the spherical and
 /// logistic batch kernels return exactly 0; the scalar value there is below
 /// kBatchNegligibleProb, which the filters provably cannot distinguish from
@@ -289,13 +158,6 @@ void ExpectFarFieldShortCircuit(const ModelT& sensor) {
   // is 50 million times higher.
   EXPECT_LT(sensor.ProbRead(cutoff, 0.0), kBatchNegligibleProb * 1.01);
   EXPECT_EQ(1.0 - sensor.ProbRead(cutoff, 0.0), 1.0);
-
-  double simd_out[4] = {-1, -1, -1, -1};
-  GatherOneFrame(sensor, frame, xs, ys, zs, 4, simd_out, /*simd=*/true);
-  EXPECT_GT(simd_out[0], 0.0);
-  EXPECT_EQ(simd_out[1], 0.0);
-  EXPECT_EQ(simd_out[2], 0.0);
-  EXPECT_EQ(simd_out[3], 0.0);
 }
 
 TEST(BatchKernelTest, SphericalFarFieldShortCircuit) {
@@ -353,10 +215,10 @@ Vec3 OffsetAtCos(double target, double dist, double dz) {
   return {dx, dy, dz};
 }
 
-/// Both scalar batch entry points — Gather (per-element frames, and one frame
-/// with an all-zero index) and AoS positions — must return exactly
-/// ProbReadAt at positions built on and around the wedge edges, where the
-/// cone kernel's bearing pre-test decides without an acos.
+/// The gather kernel — with per-element frames, and with one frame and an
+/// all-zero index — must return exactly ProbReadAt at positions built on and
+/// around the wedge edges, where the cone kernel's bearing pre-test decides
+/// without an acos.
 void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
   const ConeSensorParams& p = sensor.params();
   const double theta_major = p.major_half_angle;
@@ -431,15 +293,13 @@ void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
   std::vector<ReaderFrame> frames;
   for (const Pose& pose : poses) frames.push_back(ReaderFrame::From(pose));
 
-  std::vector<double> out_one(n, -1.0), out_aos(n, -1.0);
+  std::vector<double> out_one(n, -1.0);
   for (size_t j = 0; j < poses.size(); ++j) {
     const uint32_t begin = offsets_by_frame[j];
     const size_t count = offsets_by_frame[j + 1] - begin;
     GatherOneFrame(sensor, frames[j], soa.xs.data() + begin,
                    soa.ys.data() + begin, soa.zs.data() + begin, count,
                    out_one.data() + begin);
-    sensor.ProbReadBatchPositions(frames[j], positions.data() + begin, count,
-                                  out_aos.data() + begin);
   }
   std::vector<double> out_gather(n, -1.0);
   sensor.ProbReadBatchGather(frames.data(), frame_idx.data(), soa.xs.data(),
@@ -451,7 +311,6 @@ void ExpectConeWedgeEdgesExact(const ConeSensorModel& sensor) {
     const double scalar = sensor.ProbReadAt(poses[frame_idx[k]], positions[k]);
     in_minor_wedge += scalar > 0.0 && scalar < p.major_read_rate;
     EXPECT_EQ(out_one[k], scalar) << "one-frame gather, element " << k;
-    EXPECT_EQ(out_aos[k], scalar) << "AoS, element " << k;
     EXPECT_EQ(out_gather[k], scalar) << "Gather, element " << k;
   }
   EXPECT_GT(in_minor_wedge, 0u);
